@@ -132,10 +132,13 @@ double HistogramP50(const char* name) {
 }
 
 // Registry counters of one traced episode (they repeat exactly for the
-// deterministic work).
+// deterministic work), and the pool's median queue wait. The wait is only
+// reported as context: it is a power-of-two bucket bound, so it reads the
+// same on most runs, and it is 0 wherever the pool is idle.
 struct RegistryCounts {
   bool captured = false;
   std::vector<std::pair<std::string, double>> values;
+  double queue_wait_us_p50 = 0.0;
 };
 
 RegistryCounts CaptureRegistry() {
@@ -152,8 +155,7 @@ RegistryCounts CaptureRegistry() {
   for (const char* name : kCounters) {
     counts.values.emplace_back(name, static_cast<double>(Counter(name)));
   }
-  counts.values.emplace_back("util.thread_pool.queue_wait_us_p50",
-                             HistogramP50("util.thread_pool.queue_wait_us"));
+  counts.queue_wait_us_p50 = HistogramP50("util.thread_pool.queue_wait_us");
   return counts;
 }
 
@@ -400,9 +402,7 @@ int Run(const Args& args) {
       Ratio(D(samples.survived_chunks), D(samples.scanned_chunks)), "ratio");
   add("exec.select.cell_hit_ratio",
       Ratio(D(samples.hit_cells), D(samples.survivor_cells)), "ratio");
-  for (const auto& [name, value] : registry.values) {
-    add(name, value, name.ends_with("_p50") ? "us" : "count");
-  }
+  for (const auto& [name, value] : registry.values) add(name, value, "count");
   // The ledger: medians over the traced episodes.
   auto ledger_median = [&](auto get) {
     std::vector<double> v;
@@ -466,6 +466,8 @@ int Run(const Args& args) {
   double worst = 0.0;
   for (const auto& l : ledgers) worst = std::max(worst, l.unattributed_share);
   d.push_back({"phase.unattributed_share_max", worst, "ratio", nl});
+  d.push_back({"util.thread_pool.queue_wait_us_p50",
+               registry.queue_wait_us_p50, "us"});
 
   if (args.trace && !args.trace_out.empty() &&
       !tracer.WriteChromeTrace(args.trace_out)) {
