@@ -69,11 +69,11 @@ double MinNsPerItem(int reps, int64_t items, Fn&& fn) {
   return best;
 }
 
-exec::JoinOptions JOpts(int threads,
+exec::ExecContext JOpts(int threads,
                         int bits = exec::kDefaultJoinPartitionBits) {
-  exec::JoinOptions opts;
-  opts.morsel.threads = threads;
-  opts.partition_bits = bits;
+  exec::ExecContext opts;
+  opts.data_plane_threads = threads;
+  opts.join_partition_bits = bits;
   return opts;
 }
 

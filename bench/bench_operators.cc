@@ -79,9 +79,9 @@ struct VariantTimes {
   double Speedup() const { return par_ns > 0.0 ? seq_ns / par_ns : 1.0; }
 };
 
-exec::MorselOptions Opts(int threads) {
-  exec::MorselOptions opts;
-  opts.threads = threads;
+exec::ExecContext Opts(int threads) {
+  exec::ExecContext opts;
+  opts.data_plane_threads = threads;
   return opts;
 }
 
@@ -170,7 +170,7 @@ int main() {
 
   record("filterbox_spans",
          TimeBothThreadCounts(7, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 return static_cast<double>(
                                     exec::FilterBoxSpans(band, box, opts)
                                         .num_cells());
@@ -178,14 +178,14 @@ int main() {
          band_cells);
   record("filterbox_count",
          TimeBothThreadCounts(7, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 return static_cast<double>(
                                     exec::FilterBoxCount(band, box, opts));
                               }),
          band_cells);
   record("groupby_sum",
          TimeBothThreadCounts(7, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 return static_cast<double>(
                                     exec::GroupBySum(band, {2, 8, 8}, 1, opts)
                                         .size());
@@ -193,14 +193,14 @@ int main() {
          band_cells);
   record("quantile_interior",
          TimeBothThreadCounts(7, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 return *exec::AttrQuantile(band, 1, 0.5,
                                                            opts);
                               }),
          band_cells);
   record("window_avg",
          TimeBothThreadCounts(3, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 const auto field = exec::WindowAverageAll(
                                     band, 1, /*radius=*/1, opts);
                                 return field.empty() ? 0.0
@@ -209,7 +209,7 @@ int main() {
          band_cells);
   record("knn_avg_distance",
          TimeBothThreadCounts(3, band_cells,
-                              [&](const exec::MorselOptions& opts) {
+                              [&](const exec::ExecContext& opts) {
                                 return *exec::KnnAverageDistance(
                                     band, /*k=*/8, /*samples=*/4,
                                     /*seed=*/3, opts);

@@ -40,6 +40,11 @@ Two kinds of values are compared, with different tolerances:
     arm only catches gross regressions (a dropped fast path, a debug
     build); the tight trend gate lives in the deterministic metrics above.
 
+For every ``<gate>_gate_vacuous`` key in a fresh file, one line reports
+whether that floor gate was ``exercised`` or ``vacuous`` on this machine
+(quoting the file's ``hardware_threads`` when present), so a CI log shows
+which gates actually bit. These lines are informational only.
+
 Refresh a baseline by copying the freshly emitted file over
 ``bench/baselines/`` and committing it alongside the change that moved it.
 """
@@ -84,6 +89,17 @@ def check_entries(name: str, base: dict, fresh: dict, tol: float) -> list:
                 f"{med:.3f}x)"
             )
     return failures
+
+
+def gate_lines(name: str, fresh: dict) -> list:
+    threads = fresh.get("hardware_threads")
+    suffix = "" if threads is None else f" (hardware_threads={threads:g})"
+    return [
+        f"gate {name}: {key[:-len('_vacuous')]} "
+        f"{'vacuous' if value else 'exercised'}{suffix}"
+        for key, value in sorted(fresh.items())
+        if key.endswith("_gate_vacuous")
+    ]
 
 
 def check_metrics(name: str, base: dict, fresh: dict, tol: float) -> list:
@@ -173,6 +189,8 @@ def main() -> int:
                                   args.metrics_tolerance)
         checked += 1
         print(f"checked {baseline_path.name}")
+        for line in gate_lines(baseline_path.name, fresh):
+            print(line)
 
     if failures:
         print(f"\n{len(failures)} benchmark regression(s) beyond tolerance "

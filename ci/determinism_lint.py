@@ -40,14 +40,6 @@ Rules (all scoped to ``src/``; ``tests/`` and ``bench/`` are not linted):
       member calls in arguments are only detectable with the AST engine;
       the regex engine checks the token-level mutations.)
 
-  R4 global-knob-shim
-      No calls to the deprecated process-global knob shims
-      (``SetDataPlaneThreads``, ``SetJoinPartitionBits``, and their
-      ``Scoped*`` forms) outside ``tests/``. New code threads an
-      ``exec::ExecContext`` instead; the shims mutate the process-default
-      context and cannot compose with concurrent sessions. The shims' own
-      declaration/definition files are exempt. No waiver.
-
   R5 float-accumulation
       In files under ``src/exec/``: no ``std::accumulate`` and no ``+=``
       into a floating-point (or unclassifiable) target inside a loop,
@@ -89,7 +81,6 @@ RULES = {
     "R1": "unordered-iteration",
     "R2": "nondeterministic-rng",
     "R3": "side-effecting-macro-arg",
-    "R4": "global-knob-shim",
     "R5": "float-accumulation",
     "W0": "unknown-waiver-token",
 }
@@ -100,21 +91,6 @@ WAIVER_TOKENS = {
     "order-insensitive": "R1",
     "fixed-order": "R5",
 }
-
-# Files that declare/define the legacy knob shims; R4 does not apply inside.
-SHIM_HOME = {
-    "src/exec/exec_context.h",
-    "src/exec/exec_context.cc",
-    "src/exec/morsel.h",
-    "src/exec/join.h",
-}
-
-SHIM_NAMES = (
-    "SetDataPlaneThreads",
-    "SetJoinPartitionBits",
-    "ScopedDataPlaneThreads",
-    "ScopedJoinPartitionBits",
-)
 
 INT_TYPES = (
     "int",
@@ -699,21 +675,6 @@ def lint_file(path, decls, args, ast_range_for=None):
                     )
                 )
 
-    # R4: legacy process-global knob shims.
-    if "R4" in args.rules and rel not in SHIM_HOME:
-        for name in SHIM_NAMES:
-            for m in re.finditer(r"\b%s\b" % name, stripped):
-                line_no = stripped.count("\n", 0, m.start()) + 1
-                findings.append(
-                    Finding(
-                        path,
-                        line_no,
-                        "R4",
-                        f"deprecated process-global knob shim `{name}`; "
-                        "thread an exec::ExecContext instead",
-                    )
-                )
-
     # R5: floating-point accumulation in the reduction-bearing scope.
     r5_scoped = any(rel.startswith(p) for p in args.r5_scope) or (
         "" in args.r5_scope
@@ -932,7 +893,7 @@ def main():
     )
     ap.add_argument(
         "--rules",
-        default="R1,R2,R3,R4,R5",
+        default=",".join(rid for rid in RULES if rid.startswith("R")),
         help="comma-separated rule subset to run (default: all)",
     )
     ap.add_argument(

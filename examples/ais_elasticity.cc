@@ -31,12 +31,12 @@ int main() {
               static_cast<long long>(tracks.num_chunks()));
 
   // Selection around the first synthetic port (a dense, skewed region).
-  const auto port_cells = exec::FilterBox(
+  const int64_t port_cells = exec::FilterBoxCount(
       tracks, exec::CellBox{{0, 3, 3}, {7, 9, 9}});
-  std::printf("broadcasts near port 1: %zu of %lld (%.0f%%)\n",
-              port_cells.size(),
+  std::printf("broadcasts near port 1: %lld of %lld (%.0f%%)\n",
+              static_cast<long long>(port_cells),
               static_cast<long long>(tracks.total_cells()),
-              100.0 * static_cast<double>(port_cells.size()) /
+              100.0 * static_cast<double>(port_cells) /
                   static_cast<double>(tracks.total_cells()));
 
   // Join with the vessel registry: which broadcasts come from tankers?

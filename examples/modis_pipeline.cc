@@ -75,12 +75,15 @@ int main() {
       });
   const auto clusters = exec::KMeans(pixels, /*k=*/4, /*max_iterations=*/25,
                                      /*seed=*/7);
-  std::printf("k-means: %d iterations, inertia %.1f, centroids:",
-              clusters.iterations, clusters.inertia);
-  for (const auto& c : clusters.centroids) {
-    std::printf(" (%.1f,%.1f)", c[0], c[1]);
+  if (clusters.ok()) {
+    std::printf("k-means: %d iterations, inertia %.1f, centroids:",
+                clusters->iterations, clusters->inertia);
+    for (const auto& c : clusters->centroids) {
+      std::printf(" (%.1f,%.1f)", c[0], c[1]);
+    }
+    std::printf("\n");
   }
-  std::printf("\n\n");
+  std::printf("\n");
 
   std::printf("== Part B: paper-scale elastic experiment ==\n\n");
   workload::ModisWorkload modis;

@@ -2,37 +2,44 @@
 // operators and joins — worker threads, morsel grain, join partition bits,
 // and an optional cooperative yield gate.
 //
-// Before the serving layer, these settings lived in process-global mutable
-// knobs (SetDataPlaneThreads / SetJoinPartitionBits) that every operator
-// read per call; two concurrent sessions could not run with different
-// settings, and a configuration racing an in-flight join was a data race.
-// The context object retires that: sessions thread an ExecContext through
-// the operator and join entry points (exec/operators.h and exec/join.h
-// carry ExecContext overloads), so concurrent sessions are fully
-// independent. The legacy knobs survive as thin shims over one
-// process-default context, now mutex-guarded — safe to *read* from any
-// number of concurrent operator calls, but mutating the default remains a
-// single-threaded-setup affair (a session that needs its own settings
-// passes its own context instead of mutating the shared default).
+// It is the only way settings reach the operators (exec/operators.h), the
+// joins (exec/join.h) and exec::MorselScheduler: every entry point takes a
+// `const ExecContext&`, and the operators' `{}` default runs sequentially
+// with the default grain and partition bits. There is no process-global
+// state, so concurrent sessions with different settings are fully
+// independent. Results never depend on the context (the determinism
+// contract, see src/exec/README.md); a call's settings change only its
+// timing.
 
 #ifndef ARRAYDB_EXEC_EXEC_CONTEXT_H_
 #define ARRAYDB_EXEC_EXEC_CONTEXT_H_
 
 #include <cstdint>
 
-#include "exec/join.h"
-
 namespace arraydb::exec {
+
+class YieldPoint;
+
+/// Default target cells per morsel. ~16k cells keeps a morsel's touched
+/// columns (coords + one attribute + mask, ~33 B/cell at rank 3) inside a
+/// core's L2 slice while still amortizing dispatch overhead.
+inline constexpr int64_t kDefaultMorselGrainCells = 16384;
+
+/// Default number of high rank bits selecting a join build partition (16
+/// partitions): enough that every hardware thread owns private tables at
+/// testbed scale while each partition's key list stays cache-friendly.
+inline constexpr int kDefaultJoinPartitionBits = 4;
 
 struct ExecContext {
   /// Worker threads for morsel-parallel operator execution (1 = sequential,
   /// 0 = auto via util::ResolveThreadCount). Results are bit-identical at
   /// every setting (morsel determinism contract).
   int data_plane_threads = 1;
-  /// Radix partition bits for the rank-keyed hash joins. Results are
-  /// bit-identical at every setting.
+  /// Radix partition bits for the rank-keyed hash joins; 0 = a single
+  /// partition. Clamped to the key space's available rank bits. Results
+  /// are bit-identical at every setting.
   int join_partition_bits = kDefaultJoinPartitionBits;
-  /// Target cells per morsel. Fixes reduction boundaries: value-exact
+  /// Target cells per morsel (> 0). Fixes reduction boundaries: value-exact
   /// operators are grain-invariant, floating-point sums may differ in the
   /// last ULPs between grains (deterministically; see src/exec/README.md).
   int64_t morsel_grain = kDefaultMorselGrainCells;
@@ -42,33 +49,6 @@ struct ExecContext {
   /// queries are pending). Timing-only — never affects results. Not owned;
   /// must outlive every operator call using the context.
   const YieldPoint* yield = nullptr;
-
-  /// The context expressed as operator / join options.
-  MorselOptions morsel_options() const;
-  JoinOptions join_options() const;
-};
-
-/// Snapshot of the process-default context (what the no-options operator
-/// overloads run with). Thread-safe.
-ExecContext DefaultExecContext();
-
-/// Replaces the process-default context. Thread-safe against concurrent
-/// DefaultExecContext readers, but configuration-time by convention:
-/// in-flight operators that already snapshotted the default keep their
-/// settings.
-void SetDefaultExecContext(const ExecContext& context);
-
-/// RAII override of the whole default context (tests and benches; the
-/// workload runner installs RunnerConfig::exec_context through this).
-class ScopedExecContext {
- public:
-  explicit ScopedExecContext(const ExecContext& context);
-  ~ScopedExecContext();
-  ScopedExecContext(const ScopedExecContext&) = delete;
-  ScopedExecContext& operator=(const ScopedExecContext&) = delete;
-
- private:
-  ExecContext saved_;
 };
 
 }  // namespace arraydb::exec

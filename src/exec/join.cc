@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "exec/morsel.h"
 #include "hilbert/hilbert.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -13,10 +14,6 @@
 namespace arraydb::exec {
 
 namespace {
-
-// The knob shims (DataPlaneJoinOptions, SetJoinPartitionBits,
-// ScopedJoinPartitionBits) live in exec_context.cc with the default
-// ExecContext they wrap.
 
 // Non-empty chunks in deterministic (lexicographic) order — the join work
 // domain on both sides. Synthetic metadata-only chunks carry no cells.
@@ -171,7 +168,7 @@ int64_t DimJoinCountBySet(const array::Array& a, const array::Array& b) {
 }  // namespace internal
 
 int64_t DimJoinCount(const array::Array& a, const array::Array& b,
-                     const JoinOptions& options) {
+                     const ExecContext& context) {
   TELEM_COUNTER_ADD("exec.join.dim_joins", 1);
   // Positions of different rank never compare equal: the join is empty.
   if (a.schema().num_dims() != b.schema().num_dims()) return 0;
@@ -196,7 +193,7 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
   // Radix geometry: a partition is the top `pbits` of the occupied rank
   // width. pbits = 0 degenerates to one table; the clamp keeps the shift
   // in range for narrow key spaces.
-  const int pbits = std::clamp(options.partition_bits, 0,
+  const int pbits = std::clamp(context.join_partition_bits, 0,
                                std::min(space->rank_bits, 16));
   const size_t num_partitions = size_t{1} << pbits;
   const int shift = space->rank_bits - pbits;
@@ -204,8 +201,8 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
     return pbits == 0 ? size_t{0} : static_cast<size_t>(key >> shift);
   };
 
-  const MorselScheduler scheduler(options.morsel);
-  const int64_t grain = options.morsel.grain_cells;
+  const MorselScheduler scheduler(context);
+  const int64_t grain = context.morsel_grain;
 
   // Build stage 1 — morsel-parallel key scatter: each build morsel ranks
   // its chunks' packed coordinate columns in one codec batch and scatters
@@ -303,7 +300,7 @@ bool AttrJoinKey(double value, int64_t* key) {
 
 int64_t AttrJoinCount(const array::Array& array, int attr,
                       const std::unordered_set<int64_t>& keys,
-                      const JoinOptions& options) {
+                      const ExecContext& context) {
   ARRAYDB_CHECK_GE(attr, 0);
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   TELEM_COUNTER_ADD("exec.join.attr_joins", 1);
@@ -317,10 +314,10 @@ int64_t AttrJoinCount(const array::Array& array, int attr,
   // arraydb-lint: order-insensitive -- FlatKeySet membership is identical
   // for any insertion order; only contains() results are consumed.
   for (const int64_t key : keys) table.Insert(static_cast<uint64_t>(key));
-  const MorselScheduler scheduler(options.morsel);
+  const MorselScheduler scheduler(context);
   TELEM_SPAN("exec.join.attr_probe");
   const int64_t matches = scheduler.Reduce(
-      CarveChunks(chunks, options.morsel.grain_cells), int64_t{0},
+      CarveChunks(chunks, context.morsel_grain), int64_t{0},
       [&](size_t, int64_t begin, int64_t end) {
         int64_t local = 0;
         for (int64_t c = begin; c < end; ++c) {

@@ -26,47 +26,9 @@
 #include <vector>
 
 #include "array/array.h"
-#include "exec/morsel.h"
+#include "exec/exec_context.h"
 
 namespace arraydb::exec {
-
-/// Default number of high rank bits selecting a build partition (16
-/// partitions): enough that every hardware thread owns private tables at
-/// testbed scale while each partition's key list stays cache-friendly.
-inline constexpr int kDefaultJoinPartitionBits = 4;
-
-struct JoinOptions {
-  MorselOptions morsel;
-  /// High rank bits selecting the radix partition; 0 = a single partition
-  /// (the degenerate non-partitioned table). Clamped to the key space's
-  /// available rank bits. Results never depend on this setting.
-  int partition_bits = kDefaultJoinPartitionBits;
-};
-
-/// Snapshot of the process-default context's join options — morsel
-/// settings plus partition bits. Equivalent to
-/// DefaultExecContext().join_options(); see exec/exec_context.h. The
-/// default context is mutex-guarded, so concurrent joins snapshotting it
-/// are race-free; concurrent sessions with different settings pass an
-/// explicit ExecContext instead of mutating the default.
-JoinOptions DataPlaneJoinOptions();
-
-/// Sets the default context's join partition-bit count. Thin shim over
-/// SetDefaultExecContext, kept for single-threaded setup (like
-/// SetDataPlaneThreads).
-void SetJoinPartitionBits(int bits);
-
-/// RAII override of the join partition bits (tests and benches).
-class ScopedJoinPartitionBits {
- public:
-  explicit ScopedJoinPartitionBits(int bits);
-  ~ScopedJoinPartitionBits();
-  ScopedJoinPartitionBits(const ScopedJoinPartitionBits&) = delete;
-  ScopedJoinPartitionBits& operator=(const ScopedJoinPartitionBits&) = delete;
-
- private:
-  int saved_;
-};
 
 /// Flat open-addressing set of uint64 keys: power-of-two slot array, linear
 /// probing, splitmix64-mixed hashing. Empty slots hold 0; a present zero
@@ -107,7 +69,7 @@ class FlatKeySet {
 /// coordinate extents fit the 64-bit rank budget); otherwise falls back to
 /// internal::DimJoinCountBySet with identical semantics.
 int64_t DimJoinCount(const array::Array& a, const array::Array& b,
-                     const JoinOptions& options = DataPlaneJoinOptions());
+                     const ExecContext& context = {});
 
 /// Join benchmark (AIS): cells of `array` whose attribute `attr` value
 /// rounds (llround: nearest integer, ties away from zero) to a key in
@@ -115,7 +77,7 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
 /// values and values outside the int64 range never match.
 int64_t AttrJoinCount(const array::Array& array, int attr,
                       const std::unordered_set<int64_t>& keys,
-                      const JoinOptions& options = DataPlaneJoinOptions());
+                      const ExecContext& context = {});
 
 /// Integer join key of an attribute value: nearest integer, ties away from
 /// zero (std::llround). Returns false — the value can never match — for

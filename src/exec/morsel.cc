@@ -10,10 +10,6 @@
 
 namespace arraydb::exec {
 
-// The knob shims (DataPlaneMorselOptions, SetDataPlaneThreads,
-// ScopedDataPlaneThreads) live in exec_context.cc with the default
-// ExecContext they wrap.
-
 void YieldPoint::Wait() const {
   if (depth_.load(std::memory_order_acquire) == 0) return;
   std::unique_lock<std::mutex> lock(mu_);
@@ -37,10 +33,10 @@ void YieldPoint::Resume() const {
   open_.notify_all();
 }
 
-MorselScheduler::MorselScheduler(MorselOptions options)
-    : options_(options),
-      threads_(util::ResolveThreadCount(options.threads)) {
-  ARRAYDB_CHECK_GT(options_.grain_cells, 0);
+MorselScheduler::MorselScheduler(const ExecContext& context)
+    : yield_(context.yield),
+      threads_(util::ResolveThreadCount(context.data_plane_threads)) {
+  ARRAYDB_CHECK_GT(context.morsel_grain, 0);
 }
 
 std::vector<MorselRange> MorselScheduler::Carve(int64_t n, int64_t grain) {
@@ -89,8 +85,7 @@ void MorselScheduler::Run(
   // Shared ascending pickup: whichever worker is free takes the next morsel
   // index, so pickup order is chunk-major and load balancing is dynamic.
   std::atomic<size_t> next{0};
-  const YieldPoint* yield = options_.yield;
-  const auto pump = [&next, &morsels, &fn, count, yield] {
+  const auto pump = [&next, &morsels, &fn, count, yield = yield_] {
     TELEM_SPAN("exec.morsel.worker");
     const int64_t busy_start_ns = telemetry::MetricsNowNs();
     for (size_t m = next.fetch_add(1, std::memory_order_relaxed); m < count;

@@ -34,17 +34,15 @@
 #include <utility>
 #include <vector>
 
+#include "exec/exec_context.h"
 #include "telemetry/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace arraydb::exec {
 
-/// Default target cells per morsel (see MorselOptions::grain_cells).
-inline constexpr int64_t kDefaultMorselGrainCells = 16384;
-
 /// Cooperative preemption gate at the morsel pickup counter. While the
 /// gate is held (Pause without matching Resume), morsel workers running
-/// under an options set that carries the gate block in Wait() before
+/// under an ExecContext that carries the gate block in Wait() before
 /// picking their next morsel; Resume releases them. The serving layer
 /// holds the gate for batch-tier work whenever interactive queries are
 /// pending, so long scans yield between morsels — never mid-morsel, and
@@ -73,59 +71,19 @@ class YieldPoint {
   mutable std::condition_variable open_;
 };
 
-struct MorselOptions {
-  /// Worker threads for data-plane operators. Positive = exact count,
-  /// 0 = auto (hardware concurrency); interpreted by the single
-  /// util::ResolveThreadCount convention. 1 is exactly the sequential path.
-  int threads = 1;
-  /// Target cells per morsel. ~16k cells keeps a morsel's touched columns
-  /// (coords + one attribute + mask, ~33 B/cell at rank 3) inside a core's
-  /// L2 slice while still amortizing dispatch overhead. Results never
-  /// depend on the thread count, but they may depend on the grain (it fixes
-  /// the reduction boundaries), so the grain is a stored option, not a
-  /// per-call knob.
-  int64_t grain_cells = kDefaultMorselGrainCells;
-  /// Optional yield gate consulted at every morsel pickup (including the
-  /// sequential inline path between morsels). Timing-only; not owned, and
-  /// must outlive the operator call. Normally set through
-  /// ExecContext::yield rather than directly.
-  const YieldPoint* yield = nullptr;
-};
-
-/// Snapshot of the process-default context's morsel options — what the
-/// no-options operator overloads run with. Equivalent to
-/// DefaultExecContext().morsel_options(); see exec/exec_context.h.
-MorselOptions DataPlaneMorselOptions();
-
-/// Sets the default context's data-plane thread count (0 = auto). Thin
-/// shim over SetDefaultExecContext, kept for single-threaded setup (as
-/// WorkloadRunner's config install); concurrent sessions that need their
-/// own settings pass an explicit ExecContext instead.
-void SetDataPlaneThreads(int threads);
-
-/// RAII override of the default context's data-plane thread count,
-/// restoring the previous value on destruction (tests and benches).
-class ScopedDataPlaneThreads {
- public:
-  explicit ScopedDataPlaneThreads(int threads);
-  ~ScopedDataPlaneThreads();
-  ScopedDataPlaneThreads(const ScopedDataPlaneThreads&) = delete;
-  ScopedDataPlaneThreads& operator=(const ScopedDataPlaneThreads&) = delete;
-
- private:
-  int saved_;
-};
-
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
 
 class MorselScheduler {
  public:
-  explicit MorselScheduler(MorselOptions options = DataPlaneMorselOptions());
+  /// Runs on context.data_plane_threads workers (resolved by
+  /// util::ResolveThreadCount; 1 is exactly the sequential path) and
+  /// consults context.yield at every morsel pickup. Callers carve their
+  /// work domain with context.morsel_grain (checked positive here).
+  explicit MorselScheduler(const ExecContext& context);
 
   /// Resolved worker count (>= 1).
   int threads() const { return threads_; }
-  const MorselOptions& options() const { return options_; }
 
   /// Carves [0, n) into contiguous morsels of ~`grain` units (the last
   /// morsel absorbs the remainder; n <= grain yields one morsel). Pure in
@@ -165,7 +123,7 @@ class MorselScheduler {
                           static_cast<int64_t>(morsels.size()));
       }
       for (size_t m = 0; m < morsels.size(); ++m) {
-        if (options_.yield) options_.yield->Wait();
+        if (yield_) yield_->Wait();
         combine(acc, morsel_fn(m, morsels[m].first, morsels[m].second));
       }
       return acc;
@@ -180,7 +138,7 @@ class MorselScheduler {
   }
 
  private:
-  MorselOptions options_;
+  const YieldPoint* yield_;
   int threads_;
 };
 

@@ -82,7 +82,7 @@ std::vector<MorselRange> CarveChunks(
 }  // namespace
 
 FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
-                             const MorselOptions& morsel) {
+                             const ExecContext& context) {
   FilterBoxView view;
   const size_t ndims = box.lo.size();
   const std::vector<const array::Chunk*> chunks = BBoxSurvivors(array, box);
@@ -95,9 +95,9 @@ FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
     std::vector<FilterBoxView::ChunkSpans> chunks;
     int64_t cells = 0;
   };
-  const MorselScheduler scheduler(morsel);
+  const MorselScheduler scheduler(context);
   Partial merged = scheduler.Reduce(
-      CarveChunks(chunks, morsel.grain_cells), Partial{},
+      CarveChunks(chunks, context.morsel_grain), Partial{},
       [&](size_t, int64_t begin, int64_t end) {
         Partial partial;
         std::vector<uint8_t> mask;
@@ -127,16 +127,16 @@ FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
 }
 
 int64_t FilterBoxCount(const array::Array& array, const CellBox& box,
-                       const MorselOptions& morsel) {
+                       const ExecContext& context) {
   // Cardinality-only selection: same pruning and predicate kernel as
   // FilterBoxSpans, but each morsel reduces its mask straight to a count —
   // no span construction — and counts sum exactly in any order.
   const size_t ndims = box.lo.size();
   const std::vector<const array::Chunk*> chunks = BBoxSurvivors(array, box);
   if (chunks.empty()) return 0;
-  const MorselScheduler scheduler(morsel);
+  const MorselScheduler scheduler(context);
   return scheduler.Reduce(
-      CarveChunks(chunks, morsel.grain_cells), int64_t{0},
+      CarveChunks(chunks, context.morsel_grain), int64_t{0},
       [&](size_t, int64_t begin, int64_t end) {
         int64_t count = 0;
         std::vector<uint8_t> mask;
@@ -168,22 +168,17 @@ std::vector<array::Cell> FilterBoxView::Materialize() const {
   return out;
 }
 
-std::vector<array::Cell> FilterBox(const array::Array& array,
-                                   const CellBox& box) {
-  return FilterBoxSpans(array, box).Materialize();
-}
-
 util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
-                                    double q, const MorselOptions& morsel) {
+                                    double q, const ExecContext& context) {
   if (attr < 0 || attr >= array.schema().num_attrs()) {
     return util::InvalidArgument("attribute index out of range");
   }
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {  // NaN fails too.
     return util::InvalidArgument("quantile must be in [0,1]");
   }
   const array::CellSpanView view(array);
   if (view.empty()) return util::FailedPrecondition("array is empty");
-  const MorselScheduler scheduler(morsel);
+  const MorselScheduler scheduler(context);
   // The extreme quantiles are plain min/max reductions: one kernel pass per
   // chunk column, no gather, no selection. Morsel partials combine in fixed
   // order (min/max is value-exact for finite inputs; the fixed order pins
@@ -194,7 +189,7 @@ util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
       bool any = false;
     };
     const Extreme merged = scheduler.Reduce(
-        CarveChunks(view.chunks(), morsel.grain_cells), Extreme{},
+        CarveChunks(view.chunks(), context.morsel_grain), Extreme{},
         [&](size_t, int64_t begin, int64_t end) {
           Extreme partial;
           for (int64_t c = begin; c < end; ++c) {
@@ -232,7 +227,7 @@ util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
   const size_t n = static_cast<size_t>(view.num_cells());
   const auto values = std::make_unique_for_overwrite<double[]>(n);
   scheduler.Run(
-      MorselScheduler::Carve(view.num_cells(), morsel.grain_cells),
+      MorselScheduler::Carve(view.num_cells(), context.morsel_grain),
       [&](size_t, int64_t begin, int64_t end) {
         view.ForEachSlice(
             begin, end,
@@ -284,7 +279,7 @@ inline int64_t BinOrigin(int64_t v, int64_t bin) {
 
 std::map<array::Coordinates, double> GroupBySum(
     const array::Array& array, const std::vector<int64_t>& bin, int attr,
-    const MorselOptions& morsel) {
+    const ExecContext& context) {
   ARRAYDB_CHECK_EQ(bin.size(),
                    static_cast<size_t>(array.schema().num_dims()));
   ARRAYDB_CHECK_GE(attr, 0);
@@ -302,9 +297,9 @@ std::map<array::Coordinates, double> GroupBySum(
   // floating-point accumulation order is a pure function of the chunk list
   // and the grain — deterministic, thread-count invariant, and (with the
   // kernels dispatch-stable) identical across scalar and AVX2 dispatch.
-  const MorselScheduler scheduler(morsel);
+  const MorselScheduler scheduler(context);
   BinMap acc = scheduler.Reduce(
-      CarveChunks(chunks, morsel.grain_cells), BinMap{},
+      CarveChunks(chunks, context.morsel_grain), BinMap{},
       [&](size_t, int64_t begin, int64_t end) {
         BinMap partial;
         array::Coordinates key(ndims);
@@ -417,7 +412,7 @@ util::StatusOr<double> WindowAverageAt(const array::Array& array, int attr,
 
 std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
     const array::Array& array, int attr, int64_t radius,
-    const MorselOptions& morsel) {
+    const ExecContext& context) {
   ARRAYDB_CHECK_GE(attr, 0);
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   ARRAYDB_CHECK_GE(radius, 0);
@@ -434,14 +429,14 @@ std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
   std::vector<std::pair<array::Coordinates, double>> out(positions.size());
   // A window probe costs (2r+1)^ndims index lookups per position, so the
   // per-morsel position grain shrinks by the window volume (floored so tiny
-  // fields still form one morsel). Pure in (data, options): the carve — and
+  // fields still form one morsel). Pure in (data, context): the carve — and
   // with it the schedule-independent output — never depends on threads.
   int64_t window = 1;
   const int64_t span = 2 * radius + 1;
   for (int d = 0; d < array.schema().num_dims(); ++d) window *= span;
-  const int64_t grain =
-      std::max<int64_t>(64, morsel.grain_cells / std::max<int64_t>(1, window));
-  const MorselScheduler scheduler(morsel);
+  const int64_t grain = std::max<int64_t>(
+      64, context.morsel_grain / std::max<int64_t>(1, window));
+  const MorselScheduler scheduler(context);
   scheduler.Run(
       MorselScheduler::Carve(static_cast<int64_t>(positions.size()), grain),
       [&](size_t, int64_t begin, int64_t end) {
@@ -454,13 +449,21 @@ std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
   return out;
 }
 
-KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
-                    int max_iterations, uint64_t seed) {
-  KMeansResult result;
-  ARRAYDB_CHECK_GE(k, 1);
-  ARRAYDB_CHECK(!points.empty());
-  ARRAYDB_CHECK_LE(static_cast<size_t>(k), points.size());
+util::StatusOr<KMeansResult> KMeans(
+    const std::vector<std::vector<double>>& points, int k, int max_iterations,
+    uint64_t seed) {
+  if (k < 1) return util::InvalidArgument("k must be positive");
+  if (points.empty()) return util::InvalidArgument("no points");
+  if (static_cast<size_t>(k) > points.size()) {
+    return util::InvalidArgument("k exceeds the number of points");
+  }
   const size_t dims = points[0].size();
+  for (const auto& point : points) {
+    if (point.size() != dims) {
+      return util::InvalidArgument("points of unequal length");
+    }
+  }
+  KMeansResult result;
 
   // Deterministic init: k distinct points chosen by seeded reservoir.
   util::Rng rng(seed);
@@ -534,7 +537,7 @@ KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
 
 util::StatusOr<double> KnnAverageDistance(const array::Array& array, int k,
                                           int samples, uint64_t seed,
-                                          const MorselOptions& morsel) {
+                                          const ExecContext& context) {
   if (k < 1) return util::InvalidArgument("k must be positive");
   if (samples < 1) return util::InvalidArgument("samples must be positive");
   // Sample and scan through the span view: positions are read straight from
@@ -553,9 +556,9 @@ util::StatusOr<double> KnnAverageDistance(const array::Array& array, int k,
   // (cells after the probe shift down one), so the selection input is the
   // same vector, in the same order, as the sequential scan produced.
   std::vector<double> dists(static_cast<size_t>(num_cells) - 1);
-  const MorselScheduler scheduler(morsel);
+  const MorselScheduler scheduler(context);
   const auto morsels =
-      MorselScheduler::Carve(num_cells, morsel.grain_cells);
+      MorselScheduler::Carve(num_cells, context.morsel_grain);
   for (int s = 0; s < samples; ++s) {
     const auto idx = static_cast<int64_t>(
         rng.NextBounded(static_cast<uint64_t>(num_cells)));

@@ -326,10 +326,9 @@ ServeResult SessionServer::Finish() {
   const auto run_tier = [&](Tier tier, const exec::ExecContext& context) {
     const std::vector<size_t>& indices = compute_indices[TierIndex(tier)];
     if (indices.empty()) return;
-    exec::MorselOptions morsel;
-    morsel.threads = options_.compute_threads;
-    morsel.grain_cells = 1;
-    exec::MorselScheduler scheduler(morsel);
+    exec::ExecContext compute;
+    compute.data_plane_threads = options_.compute_threads;
+    const exec::MorselScheduler scheduler(compute);
     scheduler.Run(
         exec::MorselScheduler::Carve(static_cast<int64_t>(indices.size()), 1),
         [&](size_t, int64_t begin, int64_t) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "exec/morsel.h"
 
 namespace arraydb::serve {
 

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "core/elastic_engine.h"
-#include "exec/morsel.h"
 #include "reorg/bandwidth_arbiter.h"
 #include "reorg/reorg_engine.h"
 #include "telemetry/trace.h"
@@ -226,11 +225,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       config_.initial_nodes, capacity, config_.cost_params);
   const int ingest_threads = util::ResolveThreadCount(config_.ingest.threads);
   engine.set_ingest_threads(ingest_threads);
-  // Execution context: any real operator execution embedded in this run
-  // (the examples and benches that query the arrays they feed the runner)
-  // picks up the configured morsel parallelism and join partitioning
-  // through the process default; restored on return.
-  const exec::ScopedExecContext exec_scope(config_.exec_context);
   exec::QueryEngine query_engine(config_.engine_params);
 
   core::StaircaseConfig stair_cfg;

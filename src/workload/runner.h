@@ -34,7 +34,6 @@
 #include "core/partitioner_factory.h"
 #include "core/provisioner.h"
 #include "exec/engine.h"
-#include "exec/exec_context.h"
 #include "fault/fault.h"
 #include "reorg/bandwidth_arbiter.h"
 #include "reorg/reorg_engine.h"
@@ -179,12 +178,6 @@ struct RunnerConfig {
   int staircase_samples = 4;   // s, for the staircase policy.
   int staircase_plan_ahead = 3;  // p, for the staircase policy.
   IngestConfig ingest;
-  /// Data-plane execution settings (operator threads, join partition bits,
-  /// morsel grain), installed as the process-default ExecContext for the
-  /// duration of Run() so operator work embedded in a workload run —
-  /// examples, benches — inherits it. Results are bit-identical at every
-  /// setting (morsel + join determinism contracts).
-  exec::ExecContext exec_context;
   ReorgConfig reorg;
   ServingConfig serving;
   FaultConfig fault;

@@ -180,14 +180,14 @@ class ColumnarEquivalenceTest : public ::testing::Test {
 
 TEST_F(ColumnarEquivalenceTest, FilterBoxMatchesReference) {
   const CellBox modis_box{{0, 4, 2}, {2, 20, 12}};
-  ExpectCellsIdentical(FilterBox(modis_, modis_box),
+  ExpectCellsIdentical(FilterBoxSpans(modis_, modis_box).Materialize(),
                        ReferenceFilterBox(modis_, modis_box));
   const CellBox ais_box{{0, 3, 3}, {4, 9, 9}};
-  ExpectCellsIdentical(FilterBox(ais_, ais_box),
+  ExpectCellsIdentical(FilterBoxSpans(ais_, ais_box).Materialize(),
                        ReferenceFilterBox(ais_, ais_box));
   // Degenerate box outside the populated region prunes everything.
   const CellBox empty_box{{3, 30, 14}, {3, 31, 15}};
-  ExpectCellsIdentical(FilterBox(modis_, empty_box),
+  ExpectCellsIdentical(FilterBoxSpans(modis_, empty_box).Materialize(),
                        ReferenceFilterBox(modis_, empty_box));
 }
 

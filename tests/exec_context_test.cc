@@ -1,12 +1,10 @@
-// ExecContext suite: the explicit execution-settings object that retired
-// the process-global data-plane knobs. Covers the default-context
-// snapshot/restore machinery, the legacy shims (SetDataPlaneThreads /
-// SetJoinPartitionBits and their Scoped forms are views over the default
-// context), operator entry-point equivalence, the nested RunnerConfig
-// aliases, and — the reason join.h's old "not thread-safe against
-// concurrent joins" caveat is gone — concurrent joins running under
-// different contexts with results bit-identical to sequential execution.
-// Runs under the TSan CI job.
+// ExecContext suite: the explicit execution-settings object, the only way
+// settings reach the operators and joins. Covers the `{}` defaults,
+// operator entry-point equivalence, the nested RunnerConfig copies, and —
+// the reason join.h's old "not thread-safe against concurrent joins"
+// caveat is gone — concurrent joins running under different contexts with
+// results bit-identical to sequential execution. Runs under the TSan CI
+// job.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +16,6 @@
 #include "array/array.h"
 #include "exec/exec_context.h"
 #include "exec/join.h"
-#include "exec/morsel.h"
 #include "exec/operators.h"
 #include "workload/runner.h"
 #include "workload/sample_data.h"
@@ -32,74 +29,6 @@ TEST(ExecContextTest, DefaultsMatchTheKnobDefaults) {
   EXPECT_EQ(context.join_partition_bits, kDefaultJoinPartitionBits);
   EXPECT_EQ(context.morsel_grain, kDefaultMorselGrainCells);
   EXPECT_EQ(context.yield, nullptr);
-
-  const MorselOptions morsel = context.morsel_options();
-  EXPECT_EQ(morsel.threads, 1);
-  EXPECT_EQ(morsel.grain_cells, kDefaultMorselGrainCells);
-  EXPECT_EQ(morsel.yield, nullptr);
-  const JoinOptions join = context.join_options();
-  EXPECT_EQ(join.partition_bits, kDefaultJoinPartitionBits);
-  EXPECT_EQ(join.morsel.threads, 1);
-}
-
-TEST(ExecContextTest, MorselAndJoinOptionsCarryEverySetting) {
-  YieldPoint gate;
-  ExecContext context;
-  context.data_plane_threads = 3;
-  context.join_partition_bits = 5;
-  context.morsel_grain = 256;
-  context.yield = &gate;
-  const MorselOptions morsel = context.morsel_options();
-  EXPECT_EQ(morsel.threads, 3);
-  EXPECT_EQ(morsel.grain_cells, 256);
-  EXPECT_EQ(morsel.yield, &gate);
-  const JoinOptions join = context.join_options();
-  EXPECT_EQ(join.partition_bits, 5);
-  EXPECT_EQ(join.morsel.threads, 3);
-  EXPECT_EQ(join.morsel.grain_cells, 256);
-  EXPECT_EQ(join.morsel.yield, &gate);
-}
-
-TEST(ExecContextTest, ScopedExecContextInstallsAndRestores) {
-  const ExecContext before = DefaultExecContext();
-  {
-    ExecContext override_context;
-    override_context.data_plane_threads = 7;
-    override_context.join_partition_bits = 2;
-    override_context.morsel_grain = 512;
-    const ScopedExecContext scope(override_context);
-    EXPECT_EQ(DefaultExecContext().data_plane_threads, 7);
-    EXPECT_EQ(DefaultExecContext().join_partition_bits, 2);
-    EXPECT_EQ(DefaultExecContext().morsel_grain, 512);
-    // The legacy accessors are views over the same default.
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 7);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 2);
-  }
-  EXPECT_EQ(DefaultExecContext().data_plane_threads,
-            before.data_plane_threads);
-  EXPECT_EQ(DefaultExecContext().join_partition_bits,
-            before.join_partition_bits);
-  EXPECT_EQ(DefaultExecContext().morsel_grain, before.morsel_grain);
-}
-
-TEST(ExecContextTest, LegacyShimsMutateOneFieldEach) {
-  const ExecContext before = DefaultExecContext();
-  {
-    const ScopedDataPlaneThreads threads(4);
-    EXPECT_EQ(DefaultExecContext().data_plane_threads, 4);
-    // Orthogonal fields are untouched.
-    EXPECT_EQ(DefaultExecContext().join_partition_bits,
-              before.join_partition_bits);
-    {
-      const ScopedJoinPartitionBits bits(3);
-      EXPECT_EQ(DefaultExecContext().join_partition_bits, 3);
-      EXPECT_EQ(DefaultExecContext().data_plane_threads, 4);
-    }
-    EXPECT_EQ(DefaultExecContext().join_partition_bits,
-              before.join_partition_bits);
-  }
-  EXPECT_EQ(DefaultExecContext().data_plane_threads,
-            before.data_plane_threads);
 }
 
 class ExecContextOperatorTest : public ::testing::Test {
@@ -189,12 +118,10 @@ TEST(RunnerConfigTest, CopiesAreIndependentValues) {
   workload::RunnerConfig original;
   original.ingest.threads = 7;
   original.reorg.increment_gb = 4.0;
-  original.exec_context.join_partition_bits = 5;
 
   workload::RunnerConfig copy = original;
   EXPECT_EQ(copy.ingest.threads, 7);
   EXPECT_DOUBLE_EQ(copy.reorg.increment_gb, 4.0);
-  EXPECT_EQ(copy.exec_context.join_partition_bits, 5);
 
   // Mutating the copy must not touch the original.
   copy.ingest.threads = 2;
@@ -206,9 +133,9 @@ TEST(RunnerConfigTest, CopiesAreIndependentValues) {
   // Same for assignment.
   workload::RunnerConfig assigned;
   assigned = original;
-  assigned.exec_context.data_plane_threads = 6;
-  EXPECT_EQ(original.exec_context.data_plane_threads, 1);
-  EXPECT_EQ(assigned.exec_context.data_plane_threads, 6);
+  assigned.ingest.threads = 6;
+  EXPECT_EQ(original.ingest.threads, 7);
+  EXPECT_EQ(assigned.ingest.threads, 6);
 }
 
 }  // namespace

@@ -30,11 +30,11 @@ using array::AttrType;
 using array::AttributeDesc;
 using array::DimensionDesc;
 
-JoinOptions Opts(int threads, int64_t grain, int partition_bits) {
-  JoinOptions opts;
-  opts.morsel.threads = threads;
-  opts.morsel.grain_cells = grain;
-  opts.partition_bits = partition_bits;
+ExecContext Opts(int threads, int64_t grain, int partition_bits) {
+  ExecContext opts;
+  opts.data_plane_threads = threads;
+  opts.morsel_grain = grain;
+  opts.join_partition_bits = partition_bits;
   return opts;
 }
 
@@ -281,19 +281,6 @@ TEST(FlatKeySetTest, ReserveSizesForTheLoadFactor) {
   for (uint64_t k = 0; k < 1000; ++k) {
     ASSERT_TRUE(set.Contains(k | (k << 32)));
   }
-}
-
-// -- Knobs -------------------------------------------------------------------
-
-TEST(JoinKnobTest, PartitionBitsScopeAndRestore) {
-  const int before = DataPlaneJoinOptions().partition_bits;
-  {
-    ScopedJoinPartitionBits scoped(9);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 9);
-    SetJoinPartitionBits(2);
-    EXPECT_EQ(DataPlaneJoinOptions().partition_bits, 2);
-  }
-  EXPECT_EQ(DataPlaneJoinOptions().partition_bits, before);
 }
 
 }  // namespace

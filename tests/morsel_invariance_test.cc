@@ -33,10 +33,10 @@ class MorselInvarianceTest : public ::testing::Test {
         ais_(workload::MakeSmallAisTracks(/*months=*/5, /*ships=*/120,
                                           /*seed=*/29)) {}
 
-  static MorselOptions Opts(int threads, int64_t grain) {
-    MorselOptions opts;
-    opts.threads = threads;
-    opts.grain_cells = grain;
+  static ExecContext Opts(int threads, int64_t grain) {
+    ExecContext opts;
+    opts.data_plane_threads = threads;
+    opts.morsel_grain = grain;
     return opts;
   }
 
@@ -169,8 +169,8 @@ TEST(MorselSchedulerTest, CarveByWeightClosesAtTheGrain) {
 
 TEST(MorselSchedulerTest, ReduceCombinesInMorselOrderAtEveryThreadCount) {
   for (const int threads : {1, 2, 3, 0}) {
-    MorselOptions opts;
-    opts.threads = threads;
+    ExecContext opts;
+    opts.data_plane_threads = threads;
     const MorselScheduler scheduler(opts);
     const std::string got = scheduler.Reduce(
         MorselScheduler::Carve(23, 3), std::string(),
@@ -186,17 +186,6 @@ TEST(MorselSchedulerTest, ReduceCombinesInMorselOrderAtEveryThreadCount) {
               "0:0-3|1:3-6|2:6-9|3:9-12|4:12-15|5:15-18|6:18-21|7:21-23")
         << "threads=" << threads;
   }
-}
-
-TEST(MorselSchedulerTest, DataPlaneKnobScopesAndRestores) {
-  const int before = DataPlaneMorselOptions().threads;
-  {
-    ScopedDataPlaneThreads scoped(7);
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 7);
-    SetDataPlaneThreads(3);
-    EXPECT_EQ(DataPlaneMorselOptions().threads, 3);
-  }
-  EXPECT_EQ(DataPlaneMorselOptions().threads, before);
 }
 
 TEST(CellSpanSliceTest, ForEachSliceReassemblesTheGlobalOrder) {

@@ -41,7 +41,7 @@ Array MakeGridArray() {
 TEST(FilterTest, BoxSelectsExactCells) {
   const Array a = MakeGridArray();
   CellBox box{{2, 3}, {4, 5}};
-  const auto cells = FilterBox(a, box);
+  const auto cells = FilterBoxSpans(a, box).Materialize();
   EXPECT_EQ(cells.size(), 9u);  // 3 x 3 box.
   for (const auto& cell : cells) {
     EXPECT_GE(cell.pos[0], 2);
@@ -56,7 +56,7 @@ TEST(FilterTest, BoxSelectsExactCells) {
 TEST(FilterTest, EmptyBoxYieldsNothing) {
   const Array a = MakeGridArray();
   CellBox outside{{20, 20}, {30, 30}};
-  EXPECT_TRUE(FilterBox(a, outside).empty());
+  EXPECT_TRUE(FilterBoxSpans(a, outside).Materialize().empty());
 }
 
 TEST(FilterTest, SpanViewMatchesMaterializedResult) {
@@ -65,13 +65,12 @@ TEST(FilterTest, SpanViewMatchesMaterializedResult) {
   const FilterBoxView view = FilterBoxSpans(a, box);
   EXPECT_EQ(view.num_cells(), 9);
   EXPECT_FALSE(view.empty());
-  // The Cell adapter reproduces the legacy FilterBox result exactly.
+  // The Cell adapter yields one sorted Cell per selected cell.
   const auto materialized = view.Materialize();
-  const auto legacy = FilterBox(a, box);
-  ASSERT_EQ(materialized.size(), legacy.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(materialized[i].pos, legacy[i].pos);
-    EXPECT_EQ(materialized[i].values, legacy[i].values);
+  ASSERT_EQ(materialized.size(), 9u);
+  for (size_t i = 1; i < materialized.size(); ++i) {
+    EXPECT_TRUE(array::CoordinatesLess(materialized[i - 1].pos,
+                                       materialized[i].pos));
   }
   // Span iteration reads columns without materializing Cells: the sum over
   // the view equals the sum over the value results.
@@ -80,7 +79,7 @@ TEST(FilterTest, SpanViewMatchesMaterializedResult) {
     view_sum += chunk.attr_value(0, i);
   });
   double cell_sum = 0.0;
-  for (const auto& cell : legacy) cell_sum += cell.values[0];
+  for (const auto& cell : materialized) cell_sum += cell.values[0];
   EXPECT_DOUBLE_EQ(view_sum, cell_sum);
 }
 
@@ -117,8 +116,8 @@ TEST(FilterTest, PrunesByChunk) {
                      {AttributeDesc{"v", AttrType::kDouble}});
   Array a(std::move(schema));
   ASSERT_TRUE(a.InsertCell({5}, {1.0}).ok());
-  EXPECT_TRUE(FilterBox(a, CellBox{{50}, {60}}).empty());
-  EXPECT_EQ(FilterBox(a, CellBox{{0}, {9}}).size(), 1u);
+  EXPECT_TRUE(FilterBoxSpans(a, CellBox{{50}, {60}}).empty());
+  EXPECT_EQ(FilterBoxSpans(a, CellBox{{0}, {9}}).num_cells(), 1);
 }
 
 TEST(QuantileTest, MedianOfKnownValues) {
@@ -138,6 +137,8 @@ TEST(QuantileTest, RejectsBadArguments) {
   EXPECT_FALSE(AttrQuantile(a, 5, 0.5).ok());
   EXPECT_FALSE(AttrQuantile(a, 0, 1.5).ok());
   EXPECT_FALSE(AttrQuantile(a, -1, 0.5).ok());
+  EXPECT_EQ(AttrQuantile(a, 0, std::nan("")).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(QuantileTest, SelectionMatchesSortPathOnRandomData) {
@@ -286,7 +287,9 @@ TEST(KMeansTest, SeparatesObviousClusters) {
     points.push_back({0.0 + 0.01 * i, 0.0});
     points.push_back({100.0 + 0.01 * i, 0.0});
   }
-  const auto result = KMeans(points, 2, 50, 7);
+  const auto clusters = KMeans(points, 2, 50, 7);
+  ASSERT_TRUE(clusters.ok());
+  const KMeansResult& result = *clusters;
   ASSERT_EQ(result.centroids.size(), 2u);
   const double c0 = result.centroids[0][0];
   const double c1 = result.centroids[1][0];
@@ -303,14 +306,40 @@ TEST(KMeansTest, DeterministicForSeed) {
   }
   const auto a = KMeans(points, 3, 20, 42);
   const auto b = KMeans(points, 3, 20, 42);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.centroids, b.centroids);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->assignment, b->assignment);
+  EXPECT_EQ(a->centroids, b->centroids);
 }
 
 TEST(KMeansTest, KEqualsPointsIsPerfect) {
   std::vector<std::vector<double>> points = {{0.0}, {10.0}, {20.0}};
   const auto result = KMeans(points, 3, 10, 1);
-  EXPECT_NEAR(result.inertia, 0.0, 1e-12);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->inertia, 0.0, 1e-12);
+}
+
+TEST(KMeansTest, RejectsNonPositiveK) {
+  const std::vector<std::vector<double>> points = {{0.0}, {1.0}};
+  EXPECT_EQ(KMeans(points, 0, 10, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(KMeansTest, RejectsEmptyPoints) {
+  EXPECT_EQ(KMeans({}, 1, 10, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(KMeansTest, RejectsMoreClustersThanPoints) {
+  const std::vector<std::vector<double>> points = {{0.0}, {1.0}};
+  EXPECT_EQ(KMeans(points, 3, 10, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST(KMeansTest, RejectsPointsOfUnequalLength) {
+  const std::vector<std::vector<double>> points = {{0.0, 0.0}, {1.0}};
+  EXPECT_EQ(KMeans(points, 1, 10, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(KnnTest, DenseClusterHasSmallDistances) {

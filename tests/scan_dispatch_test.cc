@@ -1,6 +1,6 @@
 // Operator-level dispatch equivalence on the AIS and MODIS sample
 // workloads: forcing the scalar fallback and forcing AVX2 must produce
-// bit-identical FilterBox / quantile / group-by / kNN results. Also the
+// bit-identical FilterBoxSpans / quantile / group-by / kNN results. Also the
 // AllCells-free kNN regression test: the span-view implementation must
 // reproduce the legacy materializing implementation exactly.
 

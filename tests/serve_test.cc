@@ -344,11 +344,11 @@ TEST(YieldPointTest, PausedGateParksMorselWorkers) {
   EXPECT_TRUE(gate.paused());
 
   std::atomic<int64_t> processed{0};
-  exec::MorselOptions options;
-  options.threads = 2;
-  options.grain_cells = 8;
-  options.yield = &gate;
-  exec::MorselScheduler scheduler(options);
+  exec::ExecContext context;
+  context.data_plane_threads = 2;
+  context.morsel_grain = 8;
+  context.yield = &gate;
+  const exec::MorselScheduler scheduler(context);
   std::thread runner([&] {
     scheduler.Run(exec::MorselScheduler::Carve(64, 8),
                   [&](size_t, int64_t begin, int64_t end) {
@@ -370,10 +370,9 @@ TEST(YieldPointTest, OpenGateIsTransparent) {
   exec::YieldPoint gate;
   EXPECT_FALSE(gate.paused());
   gate.Wait();  // Must not block.
-  exec::MorselOptions options;
-  options.threads = 1;
-  options.yield = &gate;
-  exec::MorselScheduler scheduler(options);
+  exec::ExecContext context;
+  context.yield = &gate;
+  const exec::MorselScheduler scheduler(context);
   std::atomic<int64_t> processed{0};
   scheduler.Run(exec::MorselScheduler::Carve(32, 8),
                 [&](size_t, int64_t begin, int64_t end) {

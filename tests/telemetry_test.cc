@@ -188,10 +188,10 @@ std::map<std::string, int64_t> RunJoinAndCollect(const array::Array& a,
                                                  int threads) {
   auto& registry = Registry::Global();
   registry.ResetValues();
-  exec::JoinOptions opts;
-  opts.morsel.threads = threads;
-  opts.morsel.grain_cells = 192;  // Small grain: genuinely multi-morsel.
-  const int64_t matches = exec::DimJoinCount(a, b, opts);
+  exec::ExecContext context;
+  context.data_plane_threads = threads;
+  context.morsel_grain = 192;  // Small grain: genuinely multi-morsel.
+  const int64_t matches = exec::DimJoinCount(a, b, context);
   EXPECT_GT(matches, 0);
   std::map<std::string, int64_t> values;
   for (const auto& name : InvariantCounters()) {
@@ -229,16 +229,13 @@ struct QueryResults {
 
 QueryResults RunQueries(const array::Array& modis, const array::Array& other) {
   QueryResults r;
-  exec::JoinOptions jopts;
-  jopts.morsel.threads = 0;  // All hardware: the contended path.
-  jopts.morsel.grain_cells = 192;
-  r.join = exec::DimJoinCount(modis, other, jopts);
-  exec::MorselOptions mopts;
-  mopts.threads = 0;
-  mopts.grain_cells = 192;
+  exec::ExecContext context;
+  context.data_plane_threads = 0;  // All hardware: the contended path.
+  context.morsel_grain = 192;
+  r.join = exec::DimJoinCount(modis, other, context);
   const exec::CellBox box{{0, 4, 4}, {2, 20, 12}};
-  r.filter = exec::FilterBoxCount(modis, box, mopts);
-  r.groups = exec::GroupBySum(modis, {2, 8, 8}, 0, mopts);
+  r.filter = exec::FilterBoxCount(modis, box, context);
+  r.groups = exec::GroupBySum(modis, {2, 8, 8}, 0, context);
   return r;
 }
 
