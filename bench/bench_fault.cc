@@ -24,7 +24,7 @@ namespace {
 workload::RunnerConfig ChaosConfig(bool faults) {
   workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(
       core::PartitionerKind::kConsistentHash);
-  cfg.reorg.mode = workload::ReorgMode::kOverlapped;
+  cfg.reorg.schedule = workload::ReorgSchedule::kOverlapped;
   if (faults) {
     cfg.fault.enabled = true;
     cfg.fault.plan.seed = 17;

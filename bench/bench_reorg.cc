@@ -1,8 +1,8 @@
-// Blocking vs. incremental vs. overlapped reorganization on the AIS
-// workload (§6.2 setup, Hilbert Curve partitioner): the incremental
-// reorganization engine slices each scale-out's MovePlan into
-// bandwidth-budgeted increments and, in overlapped mode, folds the cycle's
-// query workload into the migration window via dual-residency routing.
+// Blocking vs. overlapped reorganization on the AIS workload (§6.2 setup,
+// Hilbert Curve partitioner): the incremental reorganization engine slices
+// each scale-out's MovePlan into bandwidth-budgeted increments and, under
+// the overlapped schedule, folds the cycle's query workload into the
+// migration window via dual-residency routing.
 //
 // Emits BENCH_reorg.json with machine-independent simulated-minute metrics
 // (the CI trend check consumes them).
@@ -20,27 +20,27 @@ using namespace arraydb;
 
 namespace {
 
-workload::RunResult RunMode(workload::ReorgMode mode, double increment_gb) {
+workload::RunResult RunSchedule(workload::ReorgSchedule schedule,
+                                double increment_gb) {
   workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(
       core::PartitionerKind::kHilbertCurve);
-  cfg.reorg.mode = mode;
+  cfg.reorg.schedule = schedule;
   cfg.reorg.increment_gb = increment_gb;
   cfg.ingest.threads = 0;  // Auto: exercise the parallel prewarm overlap.
   workload::AisWorkload ais;
   return workload::WorkloadRunner(cfg).Run(ais);
 }
 
-// Ingest-heavy staircase setup for the fixed-vs-arbitrated comparison: a
+// Ingest-heavy staircase setup for the drain-vs-arbitrated comparison: a
 // bandwidth-constrained cluster (t = 1 min/GB) ingesting 2.5x the standard
 // AIS volume under the leading-staircase policy, so migration traffic
 // actually competes with inserts for link time.
-workload::RunResult RunStaircase(workload::MigrationBudgetPolicy policy) {
+workload::RunResult RunStaircase(workload::ReorgSchedule schedule) {
   workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(
       core::PartitionerKind::kHilbertCurve);
   cfg.policy = workload::ScaleOutPolicy::kStaircase;
   cfg.max_nodes = 64;  // The staircase decides on its own.
-  cfg.reorg.mode = workload::ReorgMode::kOverlapped;
-  cfg.reorg.budget_policy = policy;
+  cfg.reorg.schedule = schedule;
   cfg.ingest.threads = 0;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   workload::AisConfig heavy;
@@ -58,11 +58,10 @@ int main() {
       "increments).\n\n");
 
   const double kIncrementGb = 8.0;
-  const auto blocking = RunMode(workload::ReorgMode::kBlocking, kIncrementGb);
-  const auto incremental =
-      RunMode(workload::ReorgMode::kIncremental, kIncrementGb);
+  const auto blocking =
+      RunSchedule(workload::ReorgSchedule::kBlocking, kIncrementGb);
   const auto overlapped =
-      RunMode(workload::ReorgMode::kOverlapped, kIncrementGb);
+      RunSchedule(workload::ReorgSchedule::kOverlapped, kIncrementGb);
 
   const std::vector<size_t> widths = {13, 11, 10, 11, 11, 10, 9};
   bench::Row({"Mode", "insert", "reorg", "queries", "elapsed", "saved",
@@ -81,7 +80,6 @@ int main() {
                widths);
   };
   row("blocking", blocking);
-  row("incremental", incremental);
   row("overlapped", overlapped);
   bench::Rule(84);
 
@@ -104,19 +102,14 @@ int main() {
         m.overlap_saved_minutes);
   }
 
-  // Fixed-vs-arbitrated migration budgets under an ingest-heavy staircase:
-  // the retired constant scheme (whole plan drained in its scale-out cycle
-  // at fixed 8 GB increments), the fixed per-cycle pacing, and the
-  // cost-model arbitration (reorg::BandwidthArbiter).
+  // Drained-vs-arbitrated migration under an ingest-heavy staircase: the
+  // whole plan drained in its scale-out cycle at fixed 8 GB increments
+  // (kOverlapped), and per-cycle grants from CostModel::Arbitrate (kPaced).
   std::printf(
       "\nMigration/ingest bandwidth arbitration (ingest-heavy AIS, "
       "staircase policy):\n");
-  const auto fixed_drain =
-      RunStaircase(workload::MigrationBudgetPolicy::kFixedDrain);
-  const auto fixed_paced =
-      RunStaircase(workload::MigrationBudgetPolicy::kFixedPaced);
-  const auto arbitrated =
-      RunStaircase(workload::MigrationBudgetPolicy::kArbitrated);
+  const auto fixed_drain = RunStaircase(workload::ReorgSchedule::kOverlapped);
+  const auto arbitrated = RunStaircase(workload::ReorgSchedule::kPaced);
   const std::vector<size_t> awidths = {13, 11, 11, 11, 10, 8};
   bench::Row({"Budget", "stall", "elapsed", "moved", "forced", "incr"},
              awidths);
@@ -134,7 +127,6 @@ int main() {
                awidths);
   };
   arow("fixed-drain", fixed_drain);
-  arow("fixed-paced", fixed_paced);
   arow("arbitrated", arbitrated);
   bench::Rule(74);
   std::printf(
@@ -145,8 +137,10 @@ int main() {
   bench::JsonBenchWriter writer;
   writer.AddMetric("blocking_total_minutes",
                    blocking.total_workload_minutes());
+  // The blocking schedule runs on the incremental engine, so its elapsed
+  // total is the incremental total.
   writer.AddMetric("incremental_total_minutes",
-                   incremental.total_elapsed_minutes);
+                   blocking.total_elapsed_minutes);
   writer.AddMetric("overlapped_total_minutes",
                    overlapped.total_elapsed_minutes);
   writer.AddMetric("overlap_saved_minutes",

@@ -34,8 +34,7 @@ workload::RunResult RunServing(const serve::SchedulerPolicy& policy,
       core::PartitionerKind::kHilbertCurve);
   cfg.policy = workload::ScaleOutPolicy::kStaircase;
   cfg.max_nodes = 64;
-  cfg.reorg.mode = workload::ReorgMode::kOverlapped;
-  cfg.reorg.budget_policy = workload::MigrationBudgetPolicy::kArbitrated;
+  cfg.reorg.schedule = workload::ReorgSchedule::kPaced;
   cfg.ingest.threads = 0;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   cfg.serving.enabled = true;

@@ -91,11 +91,11 @@ ReorgCost CostModel::ReorgMinutes(const MovePlan& plan, int num_nodes) const {
   return cost;
 }
 
-BandwidthBudget CostModel::ArbitrateBandwidth(
-    const BandwidthDemand& demand, const ArbitrationClamps& clamps) const {
-  BandwidthBudget budget;
+BandwidthShares CostModel::Arbitrate(const BandwidthDemand& demand,
+                                     const ArbitrationClamps& clamps) const {
+  BandwidthShares shares;
   const double plan_remaining = std::max(0.0, demand.remaining_migration_gb);
-  if (plan_remaining <= 0.0) return budget;
+  if (plan_remaining <= 0.0) return shares;
   // Retry traffic is migration load: re-transfers widen the demand the
   // grant must cover, on top of the plan bytes still uncommitted.
   const double remaining =
@@ -105,74 +105,57 @@ BandwidthBudget CostModel::ArbitrateBandwidth(
   // receiver: transfer at t plus the write at δ, per GB.
   const double rate = params_.net_minutes_per_gb + params_.io_minutes_per_gb;
   const int deadline = std::max(1, demand.cycles_until_deadline);
-  budget.jit_gb = remaining / static_cast<double>(deadline);
+  shares.jit_gb = remaining / static_cast<double>(deadline);
 
   // Eq. 6 shape for the ingest reservation: the coordinator keeps ~1/n of
   // the batch locally at δ and ships the rest over its uplink at t.
   const int n = std::max(1, demand.num_nodes);
   const double remote_frac =
       n > 1 ? static_cast<double>(n - 1) / static_cast<double>(n) : 0.0;
-  budget.ingest_reserved_minutes =
+  const double ingest_reserved_minutes =
       std::max(0.0, demand.projected_ingest_gb) *
       (remote_frac * params_.net_minutes_per_gb +
        (1.0 - remote_frac) * params_.io_minutes_per_gb);
 
-  // The free window is what queries and ingest leave behind. The query
-  // reservation is zero for every legacy two-way caller
-  // (projected_query_minutes defaults to 0), so the two-way split is the
-  // exact special case of the three-way arbitration.
-  const double query_reserved_minutes =
-      clamps.query_reserve_fraction *
-      std::max(0.0, demand.projected_query_minutes);
+  // The free window is what queries and ingest leave behind.
+  const double query_minutes = std::max(0.0, demand.projected_query_minutes);
   const double free_minutes =
-      std::max(0.0, demand.overlap_window_minutes -
-                        clamps.ingest_reserve_fraction *
-                            budget.ingest_reserved_minutes -
-                        query_reserved_minutes);
-  budget.window_capacity_gb = rate > 0.0 ? free_minutes / rate : remaining;
+      std::max(0.0, demand.overlap_window_minutes - ingest_reserved_minutes -
+                        query_minutes);
+  const double window_capacity_gb =
+      rate > 0.0 ? free_minutes / rate : remaining;
 
   // Use the free window when it is there (finishing early costs nothing),
   // but never fall below the just-in-time pace; then clamp so neither side
   // of the split hits zero.
   double granted =
-      std::max(budget.jit_gb, std::min(budget.window_capacity_gb, remaining));
+      std::max(shares.jit_gb, std::min(window_capacity_gb, remaining));
   const double ceiling = std::max(clamps.floor_gb, clamps.ceiling_gb);
   granted = std::clamp(granted, clamps.floor_gb, ceiling);
   granted = std::min(granted, remaining);
-  budget.migration_gb = granted;
-  budget.deadline_binding = budget.jit_gb > budget.window_capacity_gb;
-  budget.predicted_stall_minutes =
-      std::max(0.0, granted - budget.window_capacity_gb) * rate;
-  return budget;
-}
+  shares.deadline_binding = shares.jit_gb > window_capacity_gb;
+  if (deadline <= 1) {
+    // Deadline cycle: the next staircase step is about to land, so the
+    // plan's remainder goes through regardless of the clamps.
+    granted = plan_remaining;
+    shares.deadline_binding = true;
+  }
+  shares.migration_gb = granted;
+  shares.predicted_stall_minutes =
+      std::max(0.0, granted - window_capacity_gb) * rate;
 
-BandwidthShares CostModel::ArbitrateThreeWay(
-    const BandwidthDemand& demand, const ArbitrationClamps& clamps) const {
-  BandwidthShares shares;
-  const double query_minutes = std::max(0.0, demand.projected_query_minutes);
-  shares.query_reserved_minutes =
-      clamps.query_reserve_fraction * query_minutes;
-  shares.window_minutes =
-      std::max(demand.overlap_window_minutes, query_minutes);
-  shares.budget = ArbitrateBandwidth(demand, clamps);
-
-  const double rate = params_.net_minutes_per_gb + params_.io_minutes_per_gb;
-  shares.migration_minutes = shares.budget.migration_gb * rate;
-
-  // Dilation: migration minutes beyond the free window (what queries and
-  // ingest left over) intrude into protected query time; the intrusion is
-  // amortized over the query tier's own service minutes. When the grant
-  // fits the free window — the usual case once queries reserve first —
-  // migration is fully hidden and the dilation is exactly 1.
+  // Dilation: migration minutes beyond the window queries and ingest leave
+  // free intrude into protected query time; the intrusion is amortized over
+  // the query tier's own service minutes. When the grant fits, migration
+  // is fully hidden and the dilation is exactly 1.
   if (query_minutes > 0.0) {
-    const double free_minutes =
-        std::max(0.0, shares.window_minutes -
-                          clamps.ingest_reserve_fraction *
-                              shares.budget.ingest_reserved_minutes -
-                          shares.query_reserved_minutes);
-    const double intrusion =
-        std::max(0.0, shares.migration_minutes - free_minutes);
-    shares.query_dilation = 1.0 + intrusion / query_minutes;
+    const double window_minutes =
+        std::max(demand.overlap_window_minutes, query_minutes);
+    const double query_free_minutes = std::max(
+        0.0, window_minutes - ingest_reserved_minutes - query_minutes);
+    shares.query_dilation =
+        1.0 +
+        std::max(0.0, granted * rate - query_free_minutes) / query_minutes;
   }
   return shares;
 }

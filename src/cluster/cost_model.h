@@ -15,6 +15,10 @@
 // bytes received) * t plus the receiver's write I/O, plus a per-chunk
 // handling overhead that penalizes plans shuffling very many small chunks
 // (this is why global schemes pay 2.5x in Figure 4).
+//
+// Bandwidth arbitration: Arbitrate splits one cycle's link time between
+// query service, the insert, and a staged plan's migration, and reports the
+// query dilation the grant causes (math in src/reorg/README.md).
 
 #ifndef ARRAYDB_CLUSTER_COST_MODEL_H_
 #define ARRAYDB_CLUSTER_COST_MODEL_H_
@@ -62,9 +66,9 @@ struct ReorgCost {
 };
 
 /// One workload cycle's competing demands on node bandwidth, presented to
-/// ArbitrateBandwidth: how much migration is still outstanding, how much
-/// data the cycle will ingest, and how much of the cycle the migration can
-/// hide behind the query workload.
+/// CostModel::Arbitrate: how much migration is still outstanding, how much
+/// data the cycle will ingest, how much query service it must deliver, and
+/// how much of the cycle the migration can hide behind the query workload.
 struct BandwidthDemand {
   /// MovePlan bytes not yet committed, in GB.
   double remaining_migration_gb = 0.0;
@@ -73,85 +77,55 @@ struct BandwidthDemand {
   /// sources (typically the previous cycle's observed retry traffic).
   /// Counted as additional migration load — retry traffic competes for the
   /// same link time, so it must neither silently starve the ingest
-  /// reservation nor be starved itself. 0 for fault-free callers keeps the
-  /// arbitration bit-identical to the legacy split.
+  /// reservation nor be starved itself. Not part of the deadline grant,
+  /// which covers the plan's remainder only.
   double retry_backlog_gb = 0.0;
   /// Projected bytes of this cycle's insert batch, in GB.
   double projected_ingest_gb = 0.0;
   /// Cycles until the next staircase step is expected to land (the
   /// plan-ahead p): the whole remainder must commit within this window.
+  /// At 1 the cycle is the deadline and the remainder is granted in full.
   int cycles_until_deadline = 1;
   /// Minutes of query workload the cycle's migration can overlap with for
   /// free (typically the previous cycle's benchmark minutes).
   double overlap_window_minutes = 0.0;
   int num_nodes = 1;
   /// Minutes of query service the cycle's serving layer projects it must
-  /// deliver (its smoothed per-cycle demand). 0 — the default, and what
-  /// every legacy two-way caller passes — reduces the arbitration exactly
-  /// to the migration-vs-ingest split; a positive value makes queries the
-  /// third first-class party: their reservation shrinks the free window
-  /// before migration may claim it (ArbitrateThreeWay).
+  /// deliver (its smoothed per-cycle demand). Reserved out of the free
+  /// window before migration may claim it; 0 leaves the window to ingest
+  /// and migration alone and pins the query dilation at 1.
   double projected_query_minutes = 0.0;
 };
 
-/// Clamps applied to the arbitrated budget so neither side of the split
+/// Clamps applied to the arbitrated grant so neither side of the split
 /// hits zero: migration always progresses (floor) and never monopolizes a
-/// cycle's bandwidth (ceiling).
+/// cycle's bandwidth (ceiling). The deadline cycle ignores both.
 struct ArbitrationClamps {
   /// Minimum migration grant per cycle while moves remain, in GB.
   double floor_gb = 0.25;
   /// Maximum migration grant per cycle, in GB.
   double ceiling_gb = 64.0;
-  /// Fraction of the ingest's modeled link time reserved before migration
-  /// may claim the overlap window (1.0 = ingest fully reserved first).
-  double ingest_reserve_fraction = 1.0;
-  /// Fraction of the projected query service minutes reserved before
-  /// migration may claim the overlap window (1.0 = queries fully reserved
-  /// first). Only bites when BandwidthDemand::projected_query_minutes is
-  /// positive, i.e. under the three-way serving arbitration.
-  double query_reserve_fraction = 1.0;
 };
 
-/// One cycle's bandwidth split returned by ArbitrateBandwidth.
-struct BandwidthBudget {
+/// One cycle's queries/ingest/migration split returned by Arbitrate.
+struct BandwidthShares {
   /// Migration GB granted for this cycle.
   double migration_gb = 0.0;
-  /// Just-in-time requirement: remaining / cycles_until_deadline.
+  /// Just-in-time requirement: (remaining + retry backlog) /
+  /// cycles_until_deadline.
   double jit_gb = 0.0;
-  /// Migration GB that fits in the overlap window after the ingest
-  /// reservation (moves at zero cost to the insert path).
-  double window_capacity_gb = 0.0;
-  /// Link minutes reserved for the cycle's ingest (Eq. 6 shape).
-  double ingest_reserved_minutes = 0.0;
   /// Modeled minutes the insert will stall because the grant spills past
   /// the free window.
   double predicted_stall_minutes = 0.0;
-  /// True when the just-in-time deadline (not the free window) set the
-  /// grant.
-  bool deadline_binding = false;
-};
-
-/// One cycle's three-way queries/ingest/migration split returned by
-/// ArbitrateThreeWay: the migration-side budget plus the query tier's
-/// reservation and the dilation its service suffers when the granted
-/// migration (plus the ingest reservation) overflows the cycle's window.
-struct BandwidthShares {
-  /// The migration-vs-ingest split, computed with the query reservation
-  /// already subtracted from the free window.
-  BandwidthBudget budget;
-  /// Minutes reserved for query service this cycle
-  /// (query_reserve_fraction * projected_query_minutes).
-  double query_reserved_minutes = 0.0;
-  /// Modeled minutes of the migration grant (grant * per-GB rate).
-  double migration_minutes = 0.0;
-  /// The cycle's window envelope: the larger of the overlap window and the
-  /// projected query minutes.
-  double window_minutes = 0.0;
   /// Service-time dilation of the query tier, >= 1: how much slower query
   /// service runs because migration traffic intruded into the time
-  /// protected for queries (1.0 = migration fully hidden). The serving
-  /// layer multiplies per-request service times by this factor.
+  /// protected for queries (1.0 = migration fully hidden, and always 1.0
+  /// when projected_query_minutes is 0). The serving layer multiplies
+  /// per-request service times by this factor.
   double query_dilation = 1.0;
+  /// True when the just-in-time deadline (not the free window) set the
+  /// grant, including every deadline cycle.
+  bool deadline_binding = false;
 };
 
 class CostModel {
@@ -169,28 +143,20 @@ class CostModel {
   /// Prices a reorganization plan against a cluster of `num_nodes` nodes.
   ReorgCost ReorgMinutes(const MovePlan& plan, int num_nodes) const;
 
-  /// Splits one cycle's node bandwidth between migration and ingest (§5's
-  /// leading staircase assumes migration is priced per cycle, not by a
-  /// fixed constant). The grant is the larger of the just-in-time
-  /// requirement (finish by the staircase deadline) and what fits behind
-  /// the query window after the ingest reservation, clamped to
-  /// [floor_gb, ceiling_gb] and to the remaining bytes. Monotone
-  /// non-increasing in projected_ingest_gb: heavier ingest shrinks the
-  /// free window, backing migration off toward the just-in-time minimum.
-  BandwidthBudget ArbitrateBandwidth(
-      const BandwidthDemand& demand,
-      const ArbitrationClamps& clamps = ArbitrationClamps()) const;
-
-  /// The three-way generalization: queries, ingest, and migration share
-  /// one cycle's bandwidth. Queries reserve query_reserve_fraction of
-  /// their projected service minutes and ingest reserves its Eq. 6 link
-  /// time before migration claims the remainder of the window (the same
-  /// grant math as ArbitrateBandwidth — with projected_query_minutes = 0
-  /// the two are identical). On top of the migration budget it reports
-  /// the query tier's dilation: when the deadline forces a grant past the
-  /// free window, the intrusion lands on query service time, and the
-  /// serving layer stretches per-request service by this factor.
-  BandwidthShares ArbitrateThreeWay(
+  /// Splits one cycle's node bandwidth between queries, ingest, and
+  /// migration (§5's leading staircase assumes migration is priced per
+  /// cycle, not by a fixed constant). Queries reserve their projected
+  /// service minutes and ingest its Eq. 6 link time before migration claims
+  /// what is left of the overlap window. The grant is the larger of the
+  /// just-in-time requirement (finish by the staircase deadline) and what
+  /// fits in that free window, clamped to [floor_gb, ceiling_gb] and to the
+  /// remaining bytes; on the deadline cycle it is the plan's whole
+  /// remainder, regardless of the clamps. Monotone non-increasing in
+  /// projected_ingest_gb and projected_query_minutes: heavier load shrinks
+  /// the free window, backing migration off toward the just-in-time
+  /// minimum. Whatever migration time still exceeds the window left for
+  /// queries is reported as the query tier's dilation.
+  BandwidthShares Arbitrate(
       const BandwidthDemand& demand,
       const ArbitrationClamps& clamps = ArbitrationClamps()) const;
 

@@ -66,7 +66,8 @@ class ElasticEngine {
 
   /// Adds `nodes_to_add` empty nodes, asks the partitioner for a
   /// repartitioning plan, applies it atomically, and prices the
-  /// reorganization (the legacy blocking path).
+  /// reorganization. The reference for the incremental engine, which must
+  /// land the same plan at the same price.
   ReorgStats ScaleOut(int nodes_to_add);
 
   /// Adds `nodes_to_add` empty nodes and returns the partitioner's plan

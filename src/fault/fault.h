@@ -81,7 +81,7 @@ struct TransferOp {
   int plan_ordinal = 0;
   /// Increment index within the plan.
   int increment = 0;
-  /// Retry attempt for this increment (0 = first try).
+  /// Copy attempt for this increment, 1-based (1 = first try).
   int attempt = 0;
   /// Content digest of the move (reorg engine's FNV-1a transfer digest).
   uint64_t move_digest = 0;

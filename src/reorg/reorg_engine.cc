@@ -202,8 +202,8 @@ util::Status IncrementalReorgEngine::ReplanAroundDeadNode(
   summary_.replans += 1;
   summary_.replanned_chunks += replanned;
   // Reverted flips are un-committed again (their re-copy lands in later
-  // Steps); the re-transfer is retry backlog for the bandwidth arbiter and
-  // its modeled pairwise price is pure recovery overhead.
+  // Steps); the re-transfer is retry backlog for the next bandwidth
+  // arbitration and its modeled pairwise price is pure recovery overhead.
   summary_.committed_gb -= reverted_gb;
   summary_.committed_chunks -= rs.reverted_committed;
   summary_.retry_gb += reverted_gb;
@@ -396,11 +396,9 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
     return failure;
   }
 
-  if (options_.validate_incremental) {
-    stats.only_to_new_nodes = slice.OnlyToNodesAtOrAbove(first_new_node_);
-    summary_.only_to_new_nodes =
-        summary_.only_to_new_nodes && stats.only_to_new_nodes;
-  }
+  stats.only_to_new_nodes = slice.OnlyToNodesAtOrAbove(first_new_node_);
+  summary_.only_to_new_nodes =
+      summary_.only_to_new_nodes && stats.only_to_new_nodes;
   stats.minutes = base_minutes;
 
   if (auto status = cluster_->CommitIncrement(); !status.ok()) return status;

@@ -22,9 +22,9 @@
 //
 // Increment sizing comes from ReorgOptions: either the fixed increment_gb
 // or a per-increment budget callback (ReorgOptions::budget_fn), typically
-// bound to a reorg::BandwidthArbiter so the cost model prices the budget
-// each cycle against the ingest demand (see bandwidth_arbiter.h and
-// src/reorg/README.md for the arbitration policy).
+// bound to the grant cluster::CostModel::Arbitrate prices each cycle
+// against the ingest and query demand (see src/reorg/README.md for the
+// arbitration policy).
 //
 // Failure semantics (src/reorg/README.md, "Failure semantics"): when a
 // fault::FaultInjector is attached, Step consults it per transfer attempt.
@@ -87,8 +87,8 @@ struct ReorgOptions {
   /// least one move per increment). Ignored when budget_fn is set; must be
   /// positive otherwise (validated at Begin).
   double increment_gb = kDefaultIncrementGb;
-  /// When set, called before each increment to size it (e.g. bound to a
-  /// BandwidthArbiter's per-cycle grant) instead of the fixed increment_gb.
+  /// When set, called before each increment to size it (e.g. bound to the
+  /// cycle's CostModel::Arbitrate grant) instead of the fixed increment_gb.
   /// Non-positive or non-finite returns are clamped to a one-byte floor —
   /// the increment still advances — and the overshoot of the at-least-one-
   /// move rule is reported in IncrementStats/ReorgSummary.
@@ -96,8 +96,6 @@ struct ReorgOptions {
   /// Worker threads for the simulated increment copy; 0 = auto
   /// (util::ResolveThreadCount).
   int copy_threads = 0;
-  /// Re-check the Table-1 incremental property per increment.
-  bool validate_incremental = true;
   /// Deterministic fault source consulted per transfer attempt (and for
   /// scheduled node deaths) during Step. Null — the default — disables
   /// injection entirely and keeps Step bit-identical to the fault-free

@@ -96,8 +96,9 @@ struct ServerOptions {
   /// virtual analogue of a morsel: preemption happens only at slice
   /// boundaries, never mid-slice.
   double slice_minutes = 0.05;
-  /// Service-time dilation applied to every request (>= 1): the three-way
-  /// arbiter's query_dilation, charging migration intrusion to service.
+  /// Service-time dilation applied to every request (>= 1): the
+  /// query_dilation from cluster::CostModel::Arbitrate, charging migration
+  /// intrusion to service.
   double service_dilation = 1.0;
   /// Degraded mode: fault recovery (retries, replans, aborts) is active in
   /// the migration plane, so the batch tier's queue capacity is shed by

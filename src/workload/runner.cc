@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "core/elastic_engine.h"
-#include "reorg/bandwidth_arbiter.h"
+#include "reorg/overlap_window.h"
 #include "reorg/reorg_engine.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -233,52 +233,32 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
   stair_cfg.plan_ahead = config_.staircase_plan_ahead;
   core::LeadingStaircase staircase(stair_cfg);
 
-  const bool paced =
-      config_.reorg.budget_policy != MigrationBudgetPolicy::kFixedDrain;
-  // Paced budgets spread a plan across cycles; that only makes sense when
-  // queries can run mid-reorg through the dual-residency view.
-  ARRAYDB_CHECK(!paced || config_.reorg.mode == ReorgMode::kOverlapped);
+  const ReorgSchedule schedule = config_.reorg.schedule;
+  const bool paced = schedule == ReorgSchedule::kPaced;
 
   RunResult result;
-  // Paced-migration state living across cycles: the engine (its routing
-  // epoch stays pinned until the plan drains), the arbiter owning the
-  // just-in-time deadline countdown, the current cycle's grant (read by the
-  // engine's budget callback), the schedule-invariant work minutes already
-  // charged (pro-rated by bytes per cycle), and the EWMA of observed
-  // benchmark minutes (the arbiter's overlap-window estimate; survives
-  // across plans so a new plan starts with a warm window).
+  // Migration state living across cycles: the engine (its routing epoch
+  // stays pinned until the plan drains), the just-in-time deadline
+  // countdown, the current cycle's grant (read by the engine's budget
+  // callback), the schedule-invariant work minutes already charged
+  // (pro-rated by bytes per cycle), and the EWMA of observed benchmark
+  // minutes (the overlap-window estimate; survives across plans so a new
+  // plan starts with a warm window).
   std::optional<reorg::IncrementalReorgEngine> background;
-  std::optional<reorg::BandwidthArbiter> arbiter;
+  int cycles_left = 1;
   double cycle_budget_gb = 0.0;
   double plan_minutes_charged = 0.0;
-  reorg::OverlapWindowEstimator overlap_window(
-      config_.reorg.overlap_window_alpha);
+  reorg::OverlapWindowEstimator overlap_window;
   ServingPools serving_pools;
   // Summary totals already attributed to a cycle (charge_migration's
   // snapshot; reset when a plan begins).
-  struct {
-    double committed_gb = 0.0;
-    int64_t committed_chunks = 0;
-    int increments = 0;
-    int over_budget_increments = 0;
-    int64_t faults_injected = 0;
-    int64_t transient_failures = 0;
-    int64_t slow_copies = 0;
-    int64_t retries = 0;
-    int64_t timeouts = 0;
-    int64_t node_deaths = 0;
-    int64_t replans = 0;
-    double backoff_ms = 0.0;
-    double recovery_overhead_minutes = 0.0;
-    double retry_gb = 0.0;
-  } charged;
+  reorg::ReorgSummary charged;
 
   // Fault-scenario state. The injector outlives every engine; the ordinal
   // base accumulates Begin counts across engine instances so a restaged or
   // successor plan draws fresh fault fates; the virtual clock feeds node-
   // death schedules; the staged plan is kept so an abort can restage it.
   const bool faults_on = config_.fault.enabled;
-  ARRAYDB_CHECK(!faults_on || config_.reorg.mode != ReorgMode::kBlocking);
   std::optional<fault::FaultInjector> injector;
   if (faults_on) injector.emplace(config_.fault.plan);
   int plan_ordinal_base = 0;
@@ -292,7 +272,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
   const auto release_background = [&] {
     plan_ordinal_base += background->plans_begun();
     background.reset();
-    arbiter.reset();
   };
 
   for (int cycle = 0; cycle < workload.num_cycles(); ++cycle) {
@@ -337,10 +316,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       plan_minutes_charged += charge;
       m.reorg_minutes += charge;
       engine.RecordReorgMinutes(charge);
-      charged.committed_gb = s.committed_gb;
-      charged.committed_chunks = s.committed_chunks;
-      charged.increments = s.increments;
-      charged.over_budget_increments = s.over_budget_increments;
       // Fault/recovery deltas. Overhead minutes are real elapsed work on
       // top of the plan's schedule-invariant price; retry traffic feeds
       // the next cycle's bandwidth demand.
@@ -365,16 +340,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         m.retry_backlog_gb += new_retry_gb;
         retry_backlog_gb += new_retry_gb;
       }
-      charged.faults_injected = s.faults_injected;
-      charged.transient_failures = s.transient_failures;
-      charged.slow_copies = s.slow_copies;
-      charged.retries = s.retries;
-      charged.timeouts = s.timeouts;
-      charged.node_deaths = s.node_deaths;
-      charged.replans = s.replans;
-      charged.backoff_ms = s.backoff_ms;
-      charged.recovery_overhead_minutes = s.recovery_overhead_minutes;
-      charged.retry_gb = s.retry_gb;
+      charged = s;
     };
 
     // Recovery driver for every migration call site: runs the engine work,
@@ -385,7 +351,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     // up to FaultConfig::max_plan_restarts. Past that the reorganization is
     // abandoned: the cluster keeps serving, just unbalanced. The first
     // attempt runs on a migrator thread overlapped with the batch placement
-    // prewarm when asked (kOverlapped's structure); recovery reruns skip
+    // prewarm when asked (the overlapped schedules); recovery reruns skip
     // the prewarm, which already happened.
     const auto run_migration = [&](bool drain_all, bool overlap_prewarm) {
       bool prewarmed = false;
@@ -401,7 +367,8 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         prewarmed = true;
         migrator.join();
         if (status.ok()) return;
-        ARRAYDB_CHECK(faults_on);
+        // Only injected faults fail a step; they surface as kUnavailable.
+        ARRAYDB_CHECK(status.code() == util::StatusCode::kUnavailable);
         charge_migration();
         m.reorg_aborts += 1;
         result.total_reorg_aborts += 1;
@@ -457,70 +424,49 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     }
 
     if (to_add > 0) {
-      if (config_.reorg.mode == ReorgMode::kBlocking) {
-        const auto reorg = engine.ScaleOut(to_add);
-        m.reorg_minutes = reorg.minutes;
-        m.moved_gb = reorg.moved_gb;
-        m.chunks_moved = reorg.chunks_moved;
-        m.reorg_only_to_new_nodes = reorg.only_to_new_nodes;
+      const auto prep = engine.PrepareScaleOut(to_add);
+      reorg::ReorgOptions opts;
+      opts.increment_gb = config_.reorg.increment_gb;
+      opts.copy_threads = ingest_threads;
+      if (faults_on) {
+        opts.injector = &*injector;
+        opts.retry = config_.fault.retry;
+        opts.increment_timeout_minutes =
+            config_.fault.increment_timeout_minutes;
+        opts.virtual_start_minutes = virtual_now;
+        opts.plan_ordinal_base = plan_ordinal_base;
+      }
+      if (paced) {
+        // Each increment is sized by the cycle grant last arbitrated.
+        opts.budget_fn = [&cycle_budget_gb](const reorg::BudgetRequest&) {
+          return cycle_budget_gb;
+        };
+      }
+      background.emplace(&engine.mutable_cluster(), &engine.cost_model(),
+                         opts);
+      const auto begun = background->Begin(prep.plan, prep.first_new_node);
+      ARRAYDB_CHECK(begun.ok());
+      active_plan = prep.plan;
+      active_first_new = prep.first_new_node;
+      plan_restarts = 0;
+      plan_minutes_charged = 0.0;
+      charged = {};
+      if (paced) {
+        cycles_left = std::max(1, config_.staircase_plan_ahead);
       } else {
-        const auto prep = engine.PrepareScaleOut(to_add);
-        reorg::ReorgOptions opts;
-        opts.increment_gb = config_.reorg.increment_gb;
-        opts.copy_threads = ingest_threads;
-        if (faults_on) {
-          opts.injector = &*injector;
-          opts.retry = config_.fault.retry;
-          opts.increment_timeout_minutes =
-              config_.fault.increment_timeout_minutes;
-          opts.virtual_start_minutes = virtual_now;
-          opts.plan_ordinal_base = plan_ordinal_base;
-        }
-        if (paced) {
-          // Each increment is sized by the cycle grant the budget policy
-          // last computed (the arbiter's, or the fixed per-cycle budget).
-          opts.budget_fn = [&cycle_budget_gb](const reorg::BudgetRequest&) {
-            return cycle_budget_gb;
-          };
-        }
-        background.emplace(&engine.mutable_cluster(), &engine.cost_model(),
-                           opts);
-        const auto begun =
-            background->Begin(prep.plan, prep.first_new_node);
-        ARRAYDB_CHECK(begun.ok());
-        active_plan = prep.plan;
-        active_first_new = prep.first_new_node;
-        plan_restarts = 0;
-        plan_minutes_charged = 0.0;
-        charged = {};
-        if (paced) {
-          reorg::ArbiterOptions arbiter_opts;
-          arbiter_opts.clamps = config_.reorg.arbitration;
-          arbiter_opts.plan_ahead_cycles = config_.staircase_plan_ahead;
-          if (config_.reorg.budget_policy ==
-              MigrationBudgetPolicy::kFixedPaced) {
-            arbiter_opts.fixed_gb = config_.reorg.increment_gb;
-          }
-          arbiter.emplace(&engine.cost_model(), arbiter_opts);
-          arbiter->BeginPlan();
-        } else if (config_.reorg.mode == ReorgMode::kIncremental) {
-          // Drain before the insert: same serialized schedule as blocking,
-          // but sliced, validated, and tracked per increment.
-          run_migration(/*drain_all=*/true, /*overlap_prewarm=*/false);
-        } else {
-          // kOverlapped: migrate on a background thread while this thread
-          // prewarms the batch's placement state. The two touch disjoint
-          // state (cluster vs. partitioner) and are each deterministic, so
-          // the overlap is free of ordering effects. The prewarm's rank memo
-          // makes IngestBatch's own prewarm a cache hit.
-          run_migration(/*drain_all=*/true, /*overlap_prewarm=*/true);
-        }
-        if (!paced && background.has_value()) {
+        // kBlocking drains before the insert. kOverlapped drains on a
+        // background thread while this thread prewarms the batch's
+        // placement state: the two touch disjoint state (cluster vs.
+        // partitioner) and are each deterministic, so the overlap is free
+        // of ordering effects, and the prewarm's rank memo makes
+        // IngestBatch's own prewarm a cache hit.
+        const bool overlapped = schedule == ReorgSchedule::kOverlapped;
+        run_migration(/*drain_all=*/true, /*overlap_prewarm=*/overlapped);
+        if (background.has_value()) {
           // Fully drained: the charge is exactly the plan's work_minutes
-          // (plus any fault-recovery overhead), same as the legacy direct
-          // summary read.
+          // (plus any fault-recovery overhead).
           charge_migration();
-          if (config_.reorg.mode == ReorgMode::kIncremental) {
+          if (schedule == ReorgSchedule::kBlocking) {
             ARRAYDB_CHECK(background->Finish().ok());
             release_background();
           }
@@ -528,11 +474,11 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       }
     }
 
-    // Paced policies: one budgeted increment per cycle (the whole remainder
-    // on the deadline cycle), overlapped with the batch placement prewarm
-    // exactly like the drain path. The workload's last cycle is always a
-    // deadline: the plan quiesces with the run, so no migration work (or
-    // its charge) is lost off the end of the experiment.
+    // kPaced: one budgeted increment per cycle (the whole remainder on the
+    // deadline cycle), overlapped with the batch placement prewarm exactly
+    // like the drain path. The workload's last cycle is always a deadline:
+    // the plan quiesces with the run, so no migration work (or its charge)
+    // is lost off the end of the experiment.
     double serving_dilation = 1.0;
     if (paced && background.has_value() && background->pending_chunks() > 0) {
       const auto& s = background->summary();
@@ -547,28 +493,36 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       demand.overlap_window_minutes = overlap_window.estimate();
       demand.num_nodes = engine.cluster().num_nodes();
       if (config_.serving.enabled) {
-        // Three-way arbitration: reserve query service capacity in the
-        // window, and charge any migration intrusion beyond the remaining
-        // free time to the serving layer as a service-time dilation.
+        // Reserve query service capacity in the window, and charge any
+        // migration intrusion beyond the remaining free time to the
+        // serving layer as a service-time dilation.
         demand.projected_query_minutes = overlap_window.estimate();
       }
-      if (cycle + 1 >= workload.num_cycles()) arbiter->ForceDeadline();
-      const bool deadline = arbiter->cycles_left() <= 1;
-      const auto shares = arbiter->PlanCycleShares(demand);
-      cycle_budget_gb = shares.budget.migration_gb;
-      m.migration_budget_gb += shares.budget.migration_gb;
+      if (cycle + 1 >= workload.num_cycles()) cycles_left = 1;
+      const bool deadline = cycles_left <= 1;
+      demand.cycles_until_deadline = cycles_left;
+      const auto shares = engine.cost_model().Arbitrate(demand);
+      TELEM_COUNTER_ADD("reorg.arbiter.grants", 1);
+      TELEM_COUNTER_ADD("reorg.arbiter.granted_bytes",
+                        std::llround(util::GbToBytes(shares.migration_gb)));
+      if (shares.deadline_binding) {
+        TELEM_COUNTER_ADD("reorg.arbiter.deadline_force_grants", 1);
+      }
+      TELEM_GAUGE_SET("reorg.arbiter.cycles_left", cycles_left);
+      cycles_left = std::max(1, cycles_left - 1);
+      cycle_budget_gb = shares.migration_gb;
+      m.migration_budget_gb += shares.migration_gb;
       serving_dilation = shares.query_dilation;
       run_migration(/*drain_all=*/deadline, /*overlap_prewarm=*/true);
       if (background.has_value()) charge_migration();
     }
 
-    // Phase 2: ingest the batch. In kOverlapped mode with the legacy drain
-    // policy all increments have committed (placement decisions match the
-    // blocking schedule exactly) and only the routing epoch remains pinned
-    // for the query phase; under the paced policies the plan may still
-    // hold uncommitted moves, so the insert lands on a partially migrated
-    // cluster — placement consults authoritative owners, queries stay on
-    // the pinned dual-residency snapshot.
+    // Phase 2: ingest the batch. Under kOverlapped all increments have
+    // committed (placement decisions match the blocking schedule exactly)
+    // and only the routing epoch remains pinned for the query phase; under
+    // kPaced the plan may still hold uncommitted moves, so the insert lands
+    // on a partially migrated cluster — placement consults authoritative
+    // owners, queries stay on the pinned dual-residency snapshot.
     const auto insert = engine.IngestBatch(batch);
     m.insert_minutes = insert.minutes;
     m.load_gb = engine.cluster().TotalGb();
@@ -602,7 +556,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       // Serving scenario: replay the cycle's suite as concurrent batch
       // sessions plus an interactive point-query stream through the
       // SessionServer. Measurement-only with respect to the legacy cycle
-      // metrics — the one coupling is the three-way arbiter's dilation
+      // metrics — the one coupling is the arbitrated query dilation
       // computed above, which stretches virtual service times.
       if (config_.serving.enabled) {
         // Graceful degradation: a cycle that saw fault recovery (retries,
@@ -628,7 +582,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       release_background();
     }
 
-    // Overlap credit: in kOverlapped mode the query workload executed during
+    // Overlap credit: outside kBlocking the query workload executed during
     // the migration window, so the cycle's elapsed time only pays the longer
     // of the two. The credit comes from the migration minutes actually
     // executed this cycle (m.reorg_minutes is the executed share, not the
@@ -636,7 +590,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     // paced across cycles. What the query window does not hide lands on the
     // ingest path: the stall metric.
     const double benchmark_minutes = m.spj_minutes + m.science_minutes;
-    if (config_.reorg.mode == ReorgMode::kOverlapped) {
+    if (schedule != ReorgSchedule::kBlocking) {
       m.overlap_saved_minutes = std::min(m.reorg_minutes, benchmark_minutes);
     }
     m.ingest_stall_minutes = m.reorg_minutes - m.overlap_saved_minutes;
@@ -645,7 +599,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     overlap_window.Observe(benchmark_minutes);
 
     // Eq. 1: N_i * elapsed_i, accumulated in node hours (elapsed equals
-    // I_i + r_i + w_i outside kOverlapped).
+    // I_i + r_i + w_i under kBlocking).
     result.cost_node_hours +=
         static_cast<double>(m.nodes_after) * m.elapsed_minutes / 60.0;
 

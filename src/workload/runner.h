@@ -3,23 +3,21 @@
 // then both benchmark suites — and records the metrics behind every figure
 // and table of §6.
 //
-// Reorganizations execute in one of three modes (ReorgMode): the legacy
-// atomic kBlocking path, kIncremental (bandwidth-budgeted increments via
-// reorg::IncrementalReorgEngine, drained before the insert), and kOverlapped
-// — migration increments run on a background thread overlapped with the
-// incoming batch's placement prewarm (the partitioner's rank memo makes the
-// subsequent re-derivation free), and the cycle's queries execute mid-reorg
-// through the dual-residency routing view, so in simulated time the query
-// workload overlaps the migration (elapsed = insert + max(reorg, queries)).
-//
-// In kOverlapped mode the per-cycle migration budget comes from a
-// MigrationBudgetPolicy: kFixedDrain (legacy, whole plan in the scale-out
-// cycle), or the paced policies kFixedPaced/kArbitrated, which spread the
-// plan across cycles — the routing epoch stays pinned until the plan
-// drains, at the latest on the staircase plan-ahead deadline — and record
-// the migration_budget_gb / ingest_stall_minutes trajectories. kArbitrated
-// prices each cycle's budget through CostModel::ArbitrateBandwidth so
-// migration never starves the ingest (and vice versa).
+// Every scale-out's MovePlan runs through reorg::IncrementalReorgEngine.
+// The plan is priced once, as a whole (Table 1, Fig. 4), so how its moves
+// are sliced changes timing, never placement or price. ReorgSchedule picks
+// the timing:
+//   * kBlocking drains the plan before the insert; the cycle pays
+//     insert + reorg + queries.
+//   * kOverlapped drains it on a background thread overlapped with the
+//     batch's placement prewarm, and the cycle's queries run mid-reorg
+//     through the dual-residency view (elapsed = insert +
+//     max(reorg, queries)).
+//   * kPaced spreads it across cycles, each cycle's grant priced by
+//     cluster::CostModel::Arbitrate so migration finishes just in time for
+//     the staircase plan-ahead deadline without starving the ingest. The
+//     routing epoch stays pinned until the plan drains.
+// Fault injection (FaultConfig) applies under every schedule.
 
 #ifndef ARRAYDB_WORKLOAD_RUNNER_H_
 #define ARRAYDB_WORKLOAD_RUNNER_H_
@@ -35,7 +33,6 @@
 #include "core/provisioner.h"
 #include "exec/engine.h"
 #include "fault/fault.h"
-#include "reorg/bandwidth_arbiter.h"
 #include "reorg/reorg_engine.h"
 #include "serve/serve.h"
 #include "workload/workload.h"
@@ -51,38 +48,22 @@ enum class ScaleOutPolicy {
   kStaircase,
 };
 
-/// How a scale-out's MovePlan is realized.
-enum class ReorgMode {
-  /// Atomic Cluster::Apply; the whole cycle blocks on the transfer.
+/// When a scale-out's MovePlan executes relative to the cycle's insert and
+/// queries. Placement, reorganization price, and query results are the same
+/// under every schedule; only the elapsed-time accounting differs.
+enum class ReorgSchedule {
+  /// Drain the whole plan before the insert: the cycle blocks on the
+  /// transfer.
   kBlocking,
-  /// Bandwidth-budgeted increments (src/reorg/), fully drained before the
-  /// insert. Same serialized cycle time as blocking; records the
-  /// per-increment migration trajectory.
-  kIncremental,
-  /// Increments run in the background: data movement overlaps the batch's
-  /// placement prewarm, and queries execute mid-reorg through the
-  /// dual-residency view. Query results are bit-identical to a quiesced
-  /// cluster; the cycle's elapsed time folds the query workload into the
-  /// migration window.
+  /// Drain the whole plan in the scale-out cycle, overlapped with the
+  /// batch's placement prewarm; queries run mid-reorg through the
+  /// dual-residency view, so the query workload hides migration time.
   kOverlapped,
-};
-
-/// How the per-cycle migration byte budget is derived in the incremental
-/// modes (kIncremental/kOverlapped).
-enum class MigrationBudgetPolicy {
-  /// Legacy: the whole MovePlan drains within its scale-out cycle, sliced
-  /// into fixed reorg_increment_gb increments.
-  kFixedDrain,
-  /// Pace the plan across cycles — one fixed reorg_increment_gb increment
-  /// per cycle — force-draining the remainder on the staircase plan-ahead
-  /// deadline (or when an early scale-out needs the cluster quiesced).
-  /// Requires ReorgMode::kOverlapped.
-  kFixedPaced,
-  /// Pace the plan across cycles with per-cycle budgets from
-  /// cluster::CostModel::ArbitrateBandwidth (via reorg::BandwidthArbiter):
-  /// migration finishes just-in-time for the next staircase step without
-  /// starving the cycle's ingest. Requires ReorgMode::kOverlapped.
-  kArbitrated,
+  /// As kOverlapped, but the plan is paced across cycles by the cost
+  /// model's per-cycle grant (CostModel::Arbitrate), completing by the
+  /// staircase plan-ahead deadline — or earlier, force-drained, when the
+  /// next scale-out arrives first.
+  kPaced,
 };
 
 /// Ingest-side settings.
@@ -98,24 +79,13 @@ struct IngestConfig {
 
 /// Reorganization settings.
 struct ReorgConfig {
-  /// Reorganization execution mode; metrics and query results are
-  /// deterministic for every mode, thread count, and increment size.
-  ReorgMode mode = ReorgMode::kBlocking;
-  /// Per-cycle migration budget derivation for the incremental modes. The
-  /// paced policies require mode == kOverlapped.
-  MigrationBudgetPolicy budget_policy = MigrationBudgetPolicy::kFixedDrain;
-  /// Byte budget per migration increment (GB) for the fixed budget
-  /// policies. Defaults to the same constant as ReorgOptions.increment_gb
+  ReorgSchedule schedule = ReorgSchedule::kBlocking;
+  /// Byte budget per migration increment (GB) for the draining schedules
+  /// (kPaced sizes increments by the cycle's grant instead). Defaults to
+  /// the same constant as ReorgOptions.increment_gb
   /// (reorg::kDefaultIncrementGb) and is forwarded explicitly, so the two
   /// cannot diverge silently.
   double increment_gb = reorg::kDefaultIncrementGb;
-  /// EWMA smoothing factor for the arbiter's query-overlap window estimate
-  /// (reorg::OverlapWindowEstimator). 1.0 reproduces the legacy
-  /// previous-cycle estimator bit for bit.
-  double overlap_window_alpha = reorg::OverlapWindowEstimator::kDefaultAlpha;
-  /// Floor/ceiling clamps for MigrationBudgetPolicy::kArbitrated (and the
-  /// serving scenario's three-way arbitration).
-  cluster::ArbitrationClamps arbitration;
 };
 
 /// Serving-layer scenario settings: when enabled, every query cycle also
@@ -124,7 +94,7 @@ struct ReorgConfig {
 /// sessions fire point queries at it — and records per-tier latency
 /// percentiles. Measurement-only with respect to the legacy metrics:
 /// spj/science/elapsed minutes are untouched; the one coupling runs the
-/// other way (under kArbitrated the serving demand enters the three-way
+/// other way (under kPaced the serving demand enters the bandwidth
 /// arbitration, and migration intrusion dilates serving latencies).
 struct ServingConfig {
   bool enabled = false;
@@ -140,16 +110,14 @@ struct ServingConfig {
   serve::SchedulerPolicy policy;
 };
 
-/// Fault-scenario settings: when enabled, every incremental reorganization
-/// runs against a deterministic fault::FaultInjector — transient transfer
+/// Fault-scenario settings: when enabled, every reorganization runs
+/// against a deterministic fault::FaultInjector — transient transfer
 /// failures retry under the engine's backoff policy, slow copies dilate,
 /// scheduled node deaths trigger replans onto the surviving new nodes — and
 /// the runner recovers from exhausted retries by aborting (exact pre-reorg
 /// restore via the retained source replicas) and restaging the plan under a
 /// fresh fault ordinal. Queries keep flowing mid-fault through the
 /// dual-residency view and stay bit-identical to a quiesced cluster.
-/// Requires an incremental ReorgMode; kBlocking scale-outs bypass the
-/// injection hooks entirely.
 struct FaultConfig {
   bool enabled = false;
   /// Seeded fault schedule (rates, dilation, node deaths). The node-death
@@ -203,7 +171,7 @@ struct ServingCycleMetrics {
   int64_t batch_completed = 0;
   int64_t admitted = 0;
   int64_t rejected = 0;
-  /// The three-way arbiter's query dilation this cycle (1.0 outside a
+  /// The bandwidth arbitration's query dilation this cycle (1.0 outside a
   /// paced migration window).
   double dilation = 1.0;
   double makespan_minutes = 0.0;
@@ -223,10 +191,11 @@ struct CycleMetrics {
   double moved_gb = 0.0;
   int64_t chunks_moved = 0;
   bool reorg_only_to_new_nodes = true;
-  /// Migration increments committed this cycle (0 in blocking mode; depends
-  /// on reorg_increment_gb — the one schedule-dependent metric).
+  /// Migration increments committed this cycle (depends on
+  /// ReorgConfig::increment_gb and the schedule — the one schedule-dependent
+  /// metric).
   int reorg_increments = 0;
-  /// Migration GB the budget policy granted this cycle (paced policies
+  /// Migration GB the bandwidth arbitration granted this cycle (kPaced
   /// only; 0 when no migration was pending).
   double migration_budget_gb = 0.0;
   /// Migration minutes not hidden behind the cycle's query window — the
@@ -239,13 +208,13 @@ struct CycleMetrics {
   /// flight and the remainder was force-drained this cycle.
   bool reorg_forced_drain = false;
   /// Simulated minutes saved by overlapping queries with migration
-  /// (kOverlapped only): min(migration minutes actually executed this
+  /// (kOverlapped and kPaced): min(migration minutes actually executed this
   /// cycle, benchmark minutes) — computed from the increments that ran,
   /// not the whole-plan price, so the credit matches the trajectory when
   /// migration is paced across cycles.
   double overlap_saved_minutes = 0.0;
   /// Wall time of the cycle: insert + reorg + benchmarks, minus the overlap
-  /// credit. Equals the serial sum outside kOverlapped.
+  /// credit. Equals the serial sum under kBlocking.
   double elapsed_minutes = 0.0;
   // -- Fault/recovery metrics (zero unless FaultConfig::enabled) ----------
   int64_t faults_injected = 0;
@@ -296,8 +265,8 @@ struct RunResult {
   int64_t total_over_budget_increments = 0;
   /// Paced migrations force-drained by an early scale-out.
   int forced_drains = 0;
-  /// Sum of per-cycle elapsed times; equals total_workload_minutes() outside
-  /// kOverlapped, strictly below it when queries overlapped a migration.
+  /// Sum of per-cycle elapsed times; equals total_workload_minutes() under
+  /// kBlocking, strictly below it when queries overlapped a migration.
   double total_elapsed_minutes = 0.0;
   /// Pooled serving-layer latency summaries across all cycles (counts are
   /// zero unless ServingConfig::enabled).

@@ -1,9 +1,9 @@
-// Tests for cost-model-driven migration/ingest bandwidth arbitration:
-// CostModel::ArbitrateBandwidth (budgets monotone in ingest load, floor/
-// ceiling clamps, just-in-time pace), the BandwidthArbiter deadline
-// countdown, the paced WorkloadRunner policies (migration completes within
-// the plan-ahead window, arbitration beats the fixed budget on ingest
-// stall), and bit-identical mid-reorg query results while a paced
+// Tests for cost-model-driven queries/ingest/migration bandwidth
+// arbitration: CostModel::Arbitrate (grants monotone in ingest and query
+// load, query dilation >= 1, floor/ceiling clamps, just-in-time pace, the
+// deadline grant), the paced WorkloadRunner schedule (migration completes
+// within the plan-ahead window, arbitration beats the drained schedule on
+// ingest stall), and bit-identical mid-reorg query results while a paced
 // migration interleaves with inserts.
 
 #include <gtest/gtest.h>
@@ -12,12 +12,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/cost_model.h"
 #include "exec/engine.h"
-#include "reorg/bandwidth_arbiter.h"
+#include "reorg/overlap_window.h"
 #include "reorg/reorg_engine.h"
 #include "util/units.h"
 #include "workload/ais.h"
@@ -27,8 +28,8 @@ namespace arraydb::reorg {
 namespace {
 
 using cluster::ArbitrationClamps;
-using cluster::BandwidthBudget;
 using cluster::BandwidthDemand;
+using cluster::BandwidthShares;
 using cluster::ChunkMove;
 using cluster::Cluster;
 using cluster::CostModel;
@@ -46,61 +47,80 @@ BandwidthDemand BaseDemand() {
   return demand;
 }
 
-TEST(ArbitrateBandwidthTest, GrantsNothingWithoutRemainingWork) {
+TEST(ArbitrateTest, GrantsNothingWithoutRemainingWork) {
   CostModel model;
   BandwidthDemand demand = BaseDemand();
   demand.remaining_migration_gb = 0.0;
-  const BandwidthBudget budget = model.ArbitrateBandwidth(demand);
+  const BandwidthShares budget = model.Arbitrate(demand);
   EXPECT_DOUBLE_EQ(budget.migration_gb, 0.0);
   EXPECT_DOUBLE_EQ(budget.predicted_stall_minutes, 0.0);
 }
 
-TEST(ArbitrateBandwidthTest, BudgetsMonotoneNonIncreasingInIngestLoad) {
+TEST(ArbitrateTest, BudgetsMonotoneNonIncreasingInIngestLoad) {
   CostModel model;
-  double prev = std::numeric_limits<double>::infinity();
-  double first = 0.0, last = 0.0;
-  for (double ingest = 0.0; ingest <= 200.0; ingest += 5.0) {
-    BandwidthDemand demand = BaseDemand();
-    demand.projected_ingest_gb = ingest;
-    const double granted = model.ArbitrateBandwidth(demand).migration_gb;
-    EXPECT_LE(granted, prev) << "ingest " << ingest;
-    EXPECT_GT(granted, 0.0) << "ingest " << ingest;
-    prev = granted;
-    if (ingest == 0.0) first = granted;
-    last = granted;
-  }
+  // Sweeps one load term from 0 to 200 and checks the grant never rises
+  // and the query dilation never drops below 1. Returns the grants at the
+  // two ends of the sweep.
+  const auto sweep = [&model](double BandwidthDemand::*load,
+                              double query_minutes) {
+    double prev = std::numeric_limits<double>::infinity();
+    std::vector<double> grants;
+    for (double x = 0.0; x <= 200.0; x += 5.0) {
+      BandwidthDemand demand = BaseDemand();
+      demand.projected_query_minutes = query_minutes;
+      demand.*load = x;
+      const BandwidthShares shares = model.Arbitrate(demand);
+      EXPECT_LE(shares.migration_gb, prev) << "load " << x;
+      EXPECT_GT(shares.migration_gb, 0.0) << "load " << x;
+      EXPECT_GE(shares.query_dilation, 1.0) << "load " << x;
+      if (demand.projected_query_minutes == 0.0) {
+        EXPECT_EQ(shares.query_dilation, 1.0) << "load " << x;
+      }
+      prev = shares.migration_gb;
+      grants.push_back(shares.migration_gb);
+    }
+    return std::make_pair(grants.front(), grants.back());
+  };
   // The policy actually responds: an ingest-heavy cycle gets a strictly
-  // smaller migration grant than an idle one.
-  EXPECT_LT(last, first);
+  // smaller migration grant than an idle one, with or without queries.
+  for (const double query_minutes : {0.0, 10.0}) {
+    const auto [idle, heavy] =
+        sweep(&BandwidthDemand::projected_ingest_gb, query_minutes);
+    EXPECT_LT(heavy, idle) << "query minutes " << query_minutes;
+  }
+  // Query reservations shrink the free window the same way.
+  const auto [idle, heavy] = sweep(&BandwidthDemand::projected_query_minutes,
+                                   /*query_minutes=*/0.0);
+  EXPECT_LT(heavy, idle);
 }
 
-TEST(ArbitrateBandwidthTest, NeverBelowJustInTimePace) {
+TEST(ArbitrateTest, NeverBelowJustInTimePace) {
   CostModel model;
   BandwidthDemand demand = BaseDemand();
   demand.overlap_window_minutes = 0.0;  // No free window at all.
   demand.projected_ingest_gb = 500.0;   // Ingest-saturated cycle.
-  const BandwidthBudget budget = model.ArbitrateBandwidth(demand);
+  const BandwidthShares budget = model.Arbitrate(demand);
   EXPECT_DOUBLE_EQ(budget.jit_gb, 16.0);  // 48 GB over 3 cycles.
   EXPECT_GE(budget.migration_gb, budget.jit_gb);
   EXPECT_TRUE(budget.deadline_binding);
   EXPECT_GT(budget.predicted_stall_minutes, 0.0);
 }
 
-TEST(ArbitrateBandwidthTest, FreeWindowAcceleratesBeyondJustInTime) {
+TEST(ArbitrateTest, FreeWindowAcceleratesBeyondJustInTime) {
   CostModel model;
   BandwidthDemand demand = BaseDemand();
   demand.projected_ingest_gb = 0.0;
   demand.overlap_window_minutes = 1000.0;  // Window swallows the plan.
   ArbitrationClamps clamps;
   clamps.ceiling_gb = 1000.0;
-  const BandwidthBudget budget = model.ArbitrateBandwidth(demand, clamps);
+  const BandwidthShares budget = model.Arbitrate(demand, clamps);
   // Everything remaining fits behind the queries: grant it all, stall-free.
   EXPECT_DOUBLE_EQ(budget.migration_gb, demand.remaining_migration_gb);
   EXPECT_FALSE(budget.deadline_binding);
   EXPECT_DOUBLE_EQ(budget.predicted_stall_minutes, 0.0);
 }
 
-TEST(ArbitrateBandwidthTest, FloorAndCeilingClampsHold) {
+TEST(ArbitrateTest, FloorAndCeilingClampsHold) {
   CostModel model;
   ArbitrationClamps clamps;
   clamps.floor_gb = 2.0;
@@ -111,66 +131,48 @@ TEST(ArbitrateBandwidthTest, FloorAndCeilingClampsHold) {
   BandwidthDemand demand = BaseDemand();
   demand.cycles_until_deadline = 1000;
   demand.overlap_window_minutes = 0.0;
-  EXPECT_DOUBLE_EQ(model.ArbitrateBandwidth(demand, clamps).migration_gb,
+  EXPECT_DOUBLE_EQ(model.Arbitrate(demand, clamps).migration_gb,
                    2.0);
 
   // Huge window: the ceiling keeps migration from monopolizing the cycle.
   demand.overlap_window_minutes = 1e6;
-  EXPECT_DOUBLE_EQ(model.ArbitrateBandwidth(demand, clamps).migration_gb,
+  EXPECT_DOUBLE_EQ(model.Arbitrate(demand, clamps).migration_gb,
                    10.0);
 
   // Less remaining than the floor: grant only what remains.
   demand.remaining_migration_gb = 0.5;
   demand.overlap_window_minutes = 0.0;
-  EXPECT_DOUBLE_EQ(model.ArbitrateBandwidth(demand, clamps).migration_gb,
+  EXPECT_DOUBLE_EQ(model.Arbitrate(demand, clamps).migration_gb,
                    0.5);
 }
 
-TEST(BandwidthArbiterTest, DeadlineCycleGrantsTheRemainder) {
+TEST(ArbitrateTest, DeadlineCycleGrantsTheRemainder) {
   CostModel model;
-  ArbiterOptions options;
-  options.plan_ahead_cycles = 3;
-  options.clamps.floor_gb = 0.25;
-  options.clamps.ceiling_gb = 8.0;  // Tight: jit alone cannot finish by p.
-  BandwidthArbiter arbiter(&model, options);
-  arbiter.BeginPlan();
+  ArbitrationClamps clamps;
+  clamps.ceiling_gb = 8.0;  // Tight: jit alone cannot finish by p.
 
   double remaining = 48.0;
-  for (int cycle = 0; cycle < 3; ++cycle) {
+  for (const int cycles_left : {3, 2, 1}) {
     BandwidthDemand demand = BaseDemand();
     demand.remaining_migration_gb = remaining;
     demand.overlap_window_minutes = 0.0;
-    const BandwidthBudget granted = arbiter.PlanCycle(demand);
-    if (cycle < 2) {
-      EXPECT_LE(granted.migration_gb, 8.0) << "cycle " << cycle;
+    demand.cycles_until_deadline = cycles_left;
+    const BandwidthShares granted = model.Arbitrate(demand, clamps);
+    if (cycles_left > 1) {
+      EXPECT_LE(granted.migration_gb, 8.0) << "cycles left " << cycles_left;
     } else {
       // Deadline: the clamps yield to just-in-time completion.
       EXPECT_DOUBLE_EQ(granted.migration_gb, remaining);
       EXPECT_TRUE(granted.deadline_binding);
+      // Retry traffic widens the demand but never the deadline grant,
+      // which covers the plan's remainder only.
+      demand.retry_backlog_gb = 6.0;
+      EXPECT_DOUBLE_EQ(model.Arbitrate(demand, clamps).migration_gb,
+                       remaining);
     }
     remaining -= granted.migration_gb;
   }
   EXPECT_DOUBLE_EQ(remaining, 0.0);
-  EXPECT_EQ(arbiter.budget_trajectory().size(), 3u);
-}
-
-TEST(BandwidthArbiterTest, FixedPolicyGrantsTheConstantUntilDeadline) {
-  CostModel model;
-  ArbiterOptions options;
-  options.plan_ahead_cycles = 3;
-  options.fixed_gb = 8.0;
-  BandwidthArbiter arbiter(&model, options);
-  arbiter.BeginPlan();
-
-  BandwidthDemand demand = BaseDemand();
-  demand.remaining_migration_gb = 20.0;
-  EXPECT_DOUBLE_EQ(arbiter.PlanCycle(demand).migration_gb, 8.0);
-  demand.remaining_migration_gb = 12.0;
-  EXPECT_DOUBLE_EQ(arbiter.PlanCycle(demand).migration_gb, 8.0);
-  demand.remaining_migration_gb = 4.0;
-  const BandwidthBudget last = arbiter.PlanCycle(demand);
-  EXPECT_DOUBLE_EQ(last.migration_gb, 4.0);
-  EXPECT_TRUE(last.deadline_binding);
 }
 
 // Paced migration interleaved with fresh inserts: queries through the
@@ -305,14 +307,13 @@ constexpr int64_t kMiB = 1024 * 1024;
 // The bench's ingest-heavy staircase setup, shrunk only in spirit: a
 // bandwidth-constrained cluster where migration and ingest actually
 // compete for link time.
-RunnerConfig HeavyStaircaseConfig(MigrationBudgetPolicy policy) {
+RunnerConfig HeavyStaircaseConfig(ReorgSchedule schedule) {
   RunnerConfig cfg;
   cfg.partitioner = core::PartitionerKind::kHilbertCurve;
   cfg.policy = ScaleOutPolicy::kStaircase;
   cfg.initial_nodes = 2;
   cfg.max_nodes = 64;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
-  cfg.reorg.budget_policy = policy;
+  cfg.reorg.schedule = schedule;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   return cfg;
 }
@@ -326,7 +327,7 @@ AisWorkload HeavyAis() {
 TEST(ArbitratedRunnerTest, MigrationCompletesWithinThePlanAheadWindow) {
   const AisWorkload ais = HeavyAis();
   const RunnerConfig cfg =
-      HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated);
+      HeavyStaircaseConfig(ReorgSchedule::kPaced);
   const auto result = WorkloadRunner(cfg).Run(ais);
 
   // Every cycle that executed migration lies within plan_ahead cycles of a
@@ -355,10 +356,10 @@ TEST(ArbitratedRunnerTest, MigrationCompletesWithinThePlanAheadWindow) {
 TEST(ArbitratedRunnerTest, ArbitrationReducesIngestStall) {
   const AisWorkload ais = HeavyAis();
   const auto fixed =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kFixedDrain))
+      WorkloadRunner(HeavyStaircaseConfig(ReorgSchedule::kOverlapped))
           .Run(ais);
   const auto arbitrated =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated))
+      WorkloadRunner(HeavyStaircaseConfig(ReorgSchedule::kPaced))
           .Run(ais);
 
   // The acceptance property: lower ingest stall at identical total work.
@@ -379,7 +380,7 @@ TEST(ArbitratedRunnerTest, ArbitrationReducesIngestStall) {
 TEST(ArbitratedRunnerTest, PerCycleAccountingStaysConsistent) {
   const AisWorkload ais = HeavyAis();
   const auto result =
-      WorkloadRunner(HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated))
+      WorkloadRunner(HeavyStaircaseConfig(ReorgSchedule::kPaced))
           .Run(ais);
   bool saw_budget = false;
   for (const auto& m : result.cycles) {
@@ -450,12 +451,11 @@ TEST(ArbitratedRunnerTest, PlanStartedOnTheFinalCycleDrainsWithTheRun) {
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
   cfg.run_queries = false;  // Window = 0: pacing would stretch past the end.
 
-  cfg.reorg.budget_policy = MigrationBudgetPolicy::kFixedDrain;
+  cfg.reorg.schedule = ReorgSchedule::kOverlapped;
   const auto drained = WorkloadRunner(cfg).Run(workload);
-  cfg.reorg.budget_policy = MigrationBudgetPolicy::kArbitrated;
+  cfg.reorg.schedule = ReorgSchedule::kPaced;
   const auto arbitrated = WorkloadRunner(cfg).Run(workload);
 
   // The scale-out happened on the last cycle in both runs...
@@ -475,7 +475,7 @@ TEST(ArbitratedRunnerTest, DeterministicAcrossThreadCounts) {
   std::vector<RunResult> results;
   for (const int threads : {1, 4, 0}) {
     RunnerConfig cfg =
-        HeavyStaircaseConfig(MigrationBudgetPolicy::kArbitrated);
+        HeavyStaircaseConfig(ReorgSchedule::kPaced);
     cfg.ingest.threads = threads;
     results.push_back(WorkloadRunner(cfg).Run(ais));
   }

@@ -287,54 +287,60 @@ TEST(ChaosInvarianceTest, NodeDeathReplanKeepsTheSweepInvariant) {
 namespace arraydb::workload {
 namespace {
 
-RunnerConfig ChaosBase() {
+RunnerConfig ChaosBase(ReorgSchedule schedule) {
   RunnerConfig cfg;
   cfg.partitioner = core::PartitionerKind::kConsistentHash;
   cfg.policy = ScaleOutPolicy::kCapacityTrigger;
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = ReorgMode::kOverlapped;
+  cfg.reorg.schedule = schedule;
   return cfg;
 }
 
 // Slow-copy chaos never fails an increment, so the placement trajectory is
 // untouched and every query result must stay bit-identical to the
-// fault-free run — mid-fault queries route through the dual-residency view
-// exactly as before.
+// fault-free run — under the blocking schedule the plan drains before the
+// queries, under the overlapped one mid-fault queries route through the
+// dual-residency view exactly as before.
 TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
   AisWorkload ais;
-  const auto clean = WorkloadRunner(ChaosBase()).Run(ais);
+  for (const ReorgSchedule schedule :
+       {ReorgSchedule::kBlocking, ReorgSchedule::kOverlapped}) {
+    SCOPED_TRACE(schedule == ReorgSchedule::kBlocking ? "blocking"
+                                                      : "overlapped");
+    const auto clean = WorkloadRunner(ChaosBase(schedule)).Run(ais);
 
-  RunnerConfig cfg = ChaosBase();
-  cfg.fault.enabled = true;
-  cfg.fault.plan.seed = 11;
-  cfg.fault.plan.slow_copy_rate = 0.4;
-  cfg.fault.plan.slow_copy_dilation = 2.5;
-  const auto faulted = WorkloadRunner(cfg).Run(ais);
+    RunnerConfig cfg = ChaosBase(schedule);
+    cfg.fault.enabled = true;
+    cfg.fault.plan.seed = 11;
+    cfg.fault.plan.slow_copy_rate = 0.4;
+    cfg.fault.plan.slow_copy_dilation = 2.5;
+    const auto faulted = WorkloadRunner(cfg).Run(ais);
 
-  ASSERT_EQ(faulted.cycles.size(), clean.cycles.size());
-  EXPECT_EQ(faulted.final_nodes, clean.final_nodes);
-  EXPECT_GT(faulted.total_faults_injected, 0);
-  EXPECT_GT(faulted.total_recovery_overhead_minutes, 0.0);
-  EXPECT_EQ(faulted.total_reorg_aborts, 0);
-  // Dilation slows migration; it must never change what queries compute.
-  for (size_t c = 0; c < clean.cycles.size(); ++c) {
-    ASSERT_EQ(faulted.cycles[c].query_minutes.size(),
-              clean.cycles[c].query_minutes.size());
-    for (size_t q = 0; q < clean.cycles[c].query_minutes.size(); ++q) {
-      EXPECT_EQ(faulted.cycles[c].query_minutes[q].first,
-                clean.cycles[c].query_minutes[q].first);
-      EXPECT_EQ(faulted.cycles[c].query_minutes[q].second,
-                clean.cycles[c].query_minutes[q].second)
-          << "cycle " << c << " query "
-          << clean.cycles[c].query_minutes[q].first;
+    ASSERT_EQ(faulted.cycles.size(), clean.cycles.size());
+    EXPECT_EQ(faulted.final_nodes, clean.final_nodes);
+    EXPECT_GT(faulted.total_faults_injected, 0);
+    EXPECT_GT(faulted.total_recovery_overhead_minutes, 0.0);
+    EXPECT_EQ(faulted.total_reorg_aborts, 0);
+    // Dilation slows migration; it must never change what queries compute.
+    for (size_t c = 0; c < clean.cycles.size(); ++c) {
+      ASSERT_EQ(faulted.cycles[c].query_minutes.size(),
+                clean.cycles[c].query_minutes.size());
+      for (size_t q = 0; q < clean.cycles[c].query_minutes.size(); ++q) {
+        EXPECT_EQ(faulted.cycles[c].query_minutes[q].first,
+                  clean.cycles[c].query_minutes[q].first);
+        EXPECT_EQ(faulted.cycles[c].query_minutes[q].second,
+                  clean.cycles[c].query_minutes[q].second)
+            << "cycle " << c << " query "
+            << clean.cycles[c].query_minutes[q].first;
+      }
+      EXPECT_EQ(faulted.cycles[c].rsd, clean.cycles[c].rsd) << "cycle " << c;
     }
-    EXPECT_EQ(faulted.cycles[c].rsd, clean.cycles[c].rsd) << "cycle " << c;
+    // The overhead is visible in the recovery metrics, not hidden in the
+    // fault-free accounting.
+    EXPECT_GT(faulted.total_reorg_minutes, clean.total_reorg_minutes);
   }
-  // The overhead is visible in the recovery metrics, not hidden in the
-  // fault-free accounting.
-  EXPECT_GT(faulted.total_reorg_minutes, clean.total_reorg_minutes);
 }
 
 // A hostile mix (retry exhaustion near-certain on wide slices) exercises the
@@ -342,7 +348,7 @@ TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
 // every query, and replay deterministically.
 TEST(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
   AisWorkload ais;
-  RunnerConfig cfg = ChaosBase();
+  RunnerConfig cfg = ChaosBase(ReorgSchedule::kOverlapped);
   cfg.fault.enabled = true;
   cfg.fault.plan.seed = 5;
   cfg.fault.plan.transient_failure_rate = 0.6;

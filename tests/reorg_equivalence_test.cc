@@ -1,8 +1,10 @@
-// Determinism and equivalence tests for overlapped reorganization: queries
-// interleaved with background migration must return results bit-identical
-// to a fully quiesced cluster, and runner metrics must be bit-identical
-// across thread counts and increment sizes (the migration schedule itself —
-// the increment count — is the only schedule-dependent metric).
+// Determinism and equivalence tests for incremental reorganization: a
+// drained plan must land exactly where the atomic apply puts it, at the
+// same price, for every partitioner; queries interleaved with background
+// migration must return results bit-identical to a fully quiesced cluster;
+// and runner metrics must be bit-identical across thread counts and
+// increment sizes (the migration schedule itself — the increment count —
+// is the only schedule-dependent metric).
 
 #include <gtest/gtest.h>
 
@@ -19,14 +21,14 @@
 namespace arraydb::workload {
 namespace {
 
-RunnerConfig BaseConfig(core::PartitionerKind kind, ReorgMode mode) {
+RunnerConfig BaseConfig(core::PartitionerKind kind, ReorgSchedule schedule) {
   RunnerConfig cfg;
   cfg.partitioner = kind;
   cfg.policy = ScaleOutPolicy::kCapacityTrigger;
   cfg.initial_nodes = 2;
   cfg.nodes_per_scaleout = 2;
   cfg.max_nodes = 8;
-  cfg.reorg.mode = mode;
+  cfg.reorg.schedule = schedule;
   return cfg;
 }
 
@@ -130,10 +132,56 @@ TEST(ReorgEquivalenceTest, MidReorgQueriesMatchQuiescedCluster) {
   }
 }
 
+TEST(ReorgEquivalenceTest, EngineDrainMatchesAtomicScaleOut) {
+  // Twin engines reach the same pre-scale-out state; one applies the plan
+  // atomically (ElasticEngine::ScaleOut), the other drains it through the
+  // incremental engine in 1 GB increments. Placement and the priced work
+  // must be identical: slicing changes timing, never placement or price.
+  AisWorkload ais;
+  for (const auto kind : core::AllPartitionerKinds()) {
+    SCOPED_TRACE(core::PartitionerKindName(kind));
+    const auto make_engine = [&ais, kind]() {
+      core::ElasticEngine engine(
+          core::MakePartitioner(kind, ais.schema(), 2, ais.node_capacity_gb(),
+                                ais.growth_dim()),
+          2, ais.node_capacity_gb());
+      for (int cycle = 0; cycle < 4; ++cycle) {
+        engine.IngestBatch(ais.GenerateBatch(cycle));
+      }
+      return engine;
+    };
+    core::ElasticEngine atomic = make_engine();
+    core::ElasticEngine sliced = make_engine();
+
+    const core::ReorgStats reference = atomic.ScaleOut(2);
+    const auto prep = sliced.PrepareScaleOut(2);
+    reorg::ReorgOptions opts;
+    opts.increment_gb = 1.0;
+    reorg::IncrementalReorgEngine bg(&sliced.mutable_cluster(),
+                                     &sliced.cost_model(), opts);
+    ASSERT_TRUE(bg.Begin(prep.plan, prep.first_new_node).ok());
+    ASSERT_TRUE(bg.Drain().ok());
+
+    const auto chunks_atomic = atomic.cluster().AllChunks();
+    const auto chunks_sliced = sliced.cluster().AllChunks();
+    ASSERT_EQ(chunks_atomic.size(), chunks_sliced.size());
+    for (size_t i = 0; i < chunks_atomic.size(); ++i) {
+      EXPECT_EQ(chunks_atomic[i].coords, chunks_sliced[i].coords);
+      EXPECT_EQ(chunks_atomic[i].node, chunks_sliced[i].node);
+      EXPECT_EQ(chunks_atomic[i].bytes, chunks_sliced[i].bytes);
+    }
+    EXPECT_EQ(bg.summary().work_minutes, reference.minutes);
+    EXPECT_EQ(bg.summary().moved_gb, reference.moved_gb);
+    EXPECT_EQ(bg.summary().chunks_moved, reference.chunks_moved);
+    EXPECT_EQ(bg.summary().only_to_new_nodes, reference.only_to_new_nodes);
+  }
+}
+
 TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossThreadsAndSizes) {
   AisWorkload ais;
   RunnerConfig base =
-      BaseConfig(core::PartitionerKind::kHilbertCurve, ReorgMode::kOverlapped);
+      BaseConfig(core::PartitionerKind::kHilbertCurve,
+                 ReorgSchedule::kOverlapped);
   std::vector<RunResult> results;
   // Thread counts (including 0 = auto) and increment budgets from
   // many-small-slices to one-shot must not change any metric but the
@@ -167,40 +215,36 @@ TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossThreadsAndSizes) {
 
 TEST(ReorgEquivalenceTest, OverlappedMatchesBlockingPlacementAndWork) {
   // Placement-side metrics (inserts, reorg work, balance, trajectory) are
-  // identical across modes; only the query phase observes a different — but
-  // internally consistent — routing epoch.
+  // identical across schedules; only the query phase observes a different —
+  // but internally consistent — routing epoch.
   AisWorkload ais;
   const auto blocking =
-      WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kHilbertCurve, ReorgMode::kBlocking))
-          .Run(ais);
-  const auto incremental =
       WorkloadRunner(BaseConfig(core::PartitionerKind::kHilbertCurve,
-                                ReorgMode::kIncremental))
+                                ReorgSchedule::kBlocking))
           .Run(ais);
   const auto overlapped =
       WorkloadRunner(BaseConfig(core::PartitionerKind::kHilbertCurve,
-                                ReorgMode::kOverlapped))
+                                ReorgSchedule::kOverlapped))
           .Run(ais);
-  for (const auto* r : {&incremental, &overlapped}) {
-    ASSERT_EQ(r->cycles.size(), blocking.cycles.size());
-    EXPECT_EQ(r->total_insert_minutes, blocking.total_insert_minutes);
-    EXPECT_EQ(r->total_reorg_minutes, blocking.total_reorg_minutes);
-    EXPECT_EQ(r->final_nodes, blocking.final_nodes);
-    EXPECT_EQ(r->mean_rsd, blocking.mean_rsd);
-    for (size_t i = 0; i < r->cycles.size(); ++i) {
-      EXPECT_EQ(r->cycles[i].moved_gb, blocking.cycles[i].moved_gb);
-      EXPECT_EQ(r->cycles[i].chunks_moved, blocking.cycles[i].chunks_moved);
-      EXPECT_EQ(r->cycles[i].load_gb, blocking.cycles[i].load_gb);
-      EXPECT_EQ(r->cycles[i].rsd, blocking.cycles[i].rsd);
-      EXPECT_TRUE(r->cycles[i].reorg_only_to_new_nodes);
-    }
+  ASSERT_EQ(overlapped.cycles.size(), blocking.cycles.size());
+  EXPECT_EQ(overlapped.total_insert_minutes, blocking.total_insert_minutes);
+  EXPECT_EQ(overlapped.total_reorg_minutes, blocking.total_reorg_minutes);
+  EXPECT_EQ(overlapped.final_nodes, blocking.final_nodes);
+  EXPECT_EQ(overlapped.mean_rsd, blocking.mean_rsd);
+  for (size_t i = 0; i < overlapped.cycles.size(); ++i) {
+    EXPECT_EQ(overlapped.cycles[i].moved_gb, blocking.cycles[i].moved_gb);
+    EXPECT_EQ(overlapped.cycles[i].chunks_moved,
+              blocking.cycles[i].chunks_moved);
+    EXPECT_EQ(overlapped.cycles[i].load_gb, blocking.cycles[i].load_gb);
+    EXPECT_EQ(overlapped.cycles[i].rsd, blocking.cycles[i].rsd);
+    EXPECT_TRUE(overlapped.cycles[i].reorg_only_to_new_nodes);
+    EXPECT_TRUE(blocking.cycles[i].reorg_only_to_new_nodes);
   }
-  // Incremental mode keeps the serial schedule; overlap buys elapsed time.
+  // Blocking keeps the serial schedule; overlap buys elapsed time.
   // (NEAR, not EQ: the totals are accumulated in different summation
   // orders.)
-  EXPECT_NEAR(incremental.total_elapsed_minutes,
-              incremental.total_workload_minutes(), 1e-9);
+  EXPECT_NEAR(blocking.total_elapsed_minutes,
+              blocking.total_workload_minutes(), 1e-9);
   EXPECT_LT(overlapped.total_elapsed_minutes,
             blocking.total_workload_minutes());
   EXPECT_GT(overlapped.total_overlap_saved_minutes, 0.0);
@@ -208,7 +252,7 @@ TEST(ReorgEquivalenceTest, OverlappedMatchesBlockingPlacementAndWork) {
               overlapped.total_workload_minutes() -
                   overlapped.total_overlap_saved_minutes,
               1e-9);
-  // The moved-GB trajectory is mode-independent.
+  // The moved-GB trajectory is schedule-independent.
   EXPECT_EQ(overlapped.MovedGbTrajectory(), blocking.MovedGbTrajectory());
 }
 
@@ -218,11 +262,11 @@ TEST(ReorgEquivalenceTest, EmptyPlanWorkloadsRunOverlapped) {
   ModisWorkload modis;
   const auto blocking =
       WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kAppend, ReorgMode::kBlocking))
+          BaseConfig(core::PartitionerKind::kAppend, ReorgSchedule::kBlocking))
           .Run(modis);
   const auto overlapped =
-      WorkloadRunner(
-          BaseConfig(core::PartitionerKind::kAppend, ReorgMode::kOverlapped))
+      WorkloadRunner(BaseConfig(core::PartitionerKind::kAppend,
+                                ReorgSchedule::kOverlapped))
           .Run(modis);
   ASSERT_EQ(overlapped.cycles.size(), blocking.cycles.size());
   EXPECT_EQ(overlapped.total_reorg_increments, 0);
