@@ -18,6 +18,7 @@
 #include "workload/runner.h"
 
 using namespace arraydb;
+using workload::CycleMetrics;
 
 namespace {
 
@@ -62,13 +63,7 @@ int main() {
   // Determinism: the same seed must replay the identical recovery
   // trajectory, bit for bit.
   const auto replay = RunLeg(/*faults=*/true);
-  if (chaos.total_faults_injected != replay.total_faults_injected ||
-      chaos.total_retries != replay.total_retries ||
-      chaos.total_replans != replay.total_replans ||
-      chaos.total_reorg_aborts != replay.total_reorg_aborts ||
-      chaos.total_recovery_overhead_minutes !=
-          replay.total_recovery_overhead_minutes ||
-      chaos.total_elapsed_minutes != replay.total_elapsed_minutes) {
+  if (chaos.cycles != replay.cycles) {
     std::fprintf(stderr, "FAIL: chaos run is not deterministic\n");
     return 1;
   }
@@ -78,18 +73,20 @@ int main() {
   int fault_cycles = 0;
   int recovered_cycles = 0;
   for (const auto& cycle : chaos.cycles) {
-    if (cycle.node_deaths > 0 || cycle.replans > 0) {
+    if (cycle.faults.node_deaths > 0 || cycle.faults.replans > 0) {
       fault_cycles += 1;
-      if (!cycle.reorg_abandoned) recovered_cycles += 1;
+      if (cycle.reorgs_abandoned == 0) recovered_cycles += 1;
     }
   }
+  const reorg::FaultCounts faults = chaos.Sum(&CycleMetrics::faults);
+  const int reorgs_abandoned = chaos.Sum(&CycleMetrics::reorgs_abandoned);
   const double replan_success_rate =
       fault_cycles > 0
           ? static_cast<double>(recovered_cycles) / fault_cycles
           : 1.0;
   const double recovery_overhead_ratio =
-      chaos.total_recovery_overhead_minutes /
-      std::max(clean.total_reorg_minutes, 1e-9);
+      chaos.Sum(&CycleMetrics::recovery_overhead_minutes) /
+      std::max(clean.Sum(&CycleMetrics::reorg_minutes), 1e-9);
 
   const std::vector<size_t> widths = {10, 9, 9, 8, 8, 8, 8, 9};
   bench::Row({"Run", "reorg", "recovery", "faults", "retries", "replans",
@@ -98,14 +95,16 @@ int main() {
   bench::Row({"", "(min)", "(min)", "", "", "", "", "(min)"}, widths);
   bench::Rule(86);
   const auto row = [&](const char* name, const workload::RunResult& r) {
+    const reorg::FaultCounts f = r.Sum(&CycleMetrics::faults);
     bench::Row(
-        {name, util::StrFormat("%.1f", r.total_reorg_minutes),
-         util::StrFormat("%.1f", r.total_recovery_overhead_minutes),
-         util::StrFormat("%d", static_cast<int>(r.total_faults_injected)),
-         util::StrFormat("%d", static_cast<int>(r.total_retries)),
-         util::StrFormat("%d", static_cast<int>(r.total_replans)),
-         util::StrFormat("%d", r.total_reorg_aborts),
-         util::StrFormat("%.1f", r.total_elapsed_minutes)},
+        {name, util::StrFormat("%.1f", r.Sum(&CycleMetrics::reorg_minutes)),
+         util::StrFormat("%.1f",
+                         r.Sum(&CycleMetrics::recovery_overhead_minutes)),
+         util::StrFormat("%d", static_cast<int>(f.injected())),
+         util::StrFormat("%d", static_cast<int>(f.retries)),
+         util::StrFormat("%d", static_cast<int>(f.replans)),
+         util::StrFormat("%d", r.Sum(&CycleMetrics::reorg_aborts)),
+         util::StrFormat("%.1f", r.Sum(&CycleMetrics::elapsed_minutes))},
         widths);
   };
   row("clean", clean);
@@ -117,22 +116,21 @@ int main() {
       100.0 * recovery_overhead_ratio, recovered_cycles, fault_cycles);
 
   bench::JsonBenchWriter writer;
-  writer.AddMetric("clean_reorg_minutes", clean.total_reorg_minutes);
-  writer.AddMetric("chaos_reorg_minutes", chaos.total_reorg_minutes);
+  writer.AddMetric("clean_reorg_minutes",
+                   clean.Sum(&CycleMetrics::reorg_minutes));
+  writer.AddMetric("chaos_reorg_minutes",
+                   chaos.Sum(&CycleMetrics::reorg_minutes));
   writer.AddMetric("recovery_overhead_minutes",
-                   chaos.total_recovery_overhead_minutes);
+                   chaos.Sum(&CycleMetrics::recovery_overhead_minutes));
   writer.AddMetric("recovery_overhead_ratio", recovery_overhead_ratio);
   writer.AddMetric("replan_success_rate", replan_success_rate);
-  writer.AddMetric("faults_injected",
-                   static_cast<double>(chaos.total_faults_injected));
-  writer.AddMetric("retries", static_cast<double>(chaos.total_retries));
-  writer.AddMetric("replans", static_cast<double>(chaos.total_replans));
-  writer.AddMetric("node_deaths",
-                   static_cast<double>(chaos.total_node_deaths));
+  writer.AddMetric("faults_injected", static_cast<double>(faults.injected()));
+  writer.AddMetric("retries", static_cast<double>(faults.retries));
+  writer.AddMetric("replans", static_cast<double>(faults.replans));
+  writer.AddMetric("node_deaths", static_cast<double>(faults.node_deaths));
   writer.AddMetric("reorg_aborts",
-                   static_cast<double>(chaos.total_reorg_aborts));
-  writer.AddMetric("reorgs_abandoned",
-                   static_cast<double>(chaos.reorgs_abandoned));
+                   static_cast<double>(chaos.Sum(&CycleMetrics::reorg_aborts)));
+  writer.AddMetric("reorgs_abandoned", static_cast<double>(reorgs_abandoned));
   if (!writer.WriteFile("BENCH_fault.json")) {
     std::fprintf(stderr, "failed to write BENCH_fault.json\n");
     return 1;
@@ -141,15 +139,14 @@ int main() {
 
   // Acceptance: chaos actually happened, every affected migration
   // recovered, and the run still reached the full testbed.
-  if (chaos.total_faults_injected <= 0 || chaos.total_retries <= 0 ||
-      chaos.total_replans < 1) {
+  if (faults.injected() <= 0 || faults.retries <= 0 || faults.replans < 1) {
     std::fprintf(stderr, "FAIL: the chaos schedule injected no faults\n");
     return 1;
   }
-  if (chaos.reorgs_abandoned != 0 || replan_success_rate < 1.0) {
+  if (reorgs_abandoned != 0 || replan_success_rate < 1.0) {
     std::fprintf(stderr,
                  "FAIL: %d reorganizations abandoned (replan success %.2f)\n",
-                 chaos.reorgs_abandoned, replan_success_rate);
+                 reorgs_abandoned, replan_success_rate);
     return 1;
   }
   if (chaos.final_nodes != clean.final_nodes) {

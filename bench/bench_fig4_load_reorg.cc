@@ -16,6 +16,7 @@
 #include "workload/runner.h"
 
 using namespace arraydb;
+using workload::CycleMetrics;
 
 int main() {
   std::printf(
@@ -49,14 +50,15 @@ int main() {
     const auto rm = runner.Run(modis);
     const auto ra = runner.Run(ais);
     bench::Row({core::PartitionerKindName(kind),
-                util::StrFormat("%.1f", rm.total_insert_minutes),
-                util::StrFormat("%.1f", rm.total_reorg_minutes),
-                util::StrFormat("%.0f%%", rm.mean_rsd * 100.0),
-                util::StrFormat("%.1f", ra.total_insert_minutes),
-                util::StrFormat("%.1f", ra.total_reorg_minutes),
-                util::StrFormat("%.0f%%", ra.mean_rsd * 100.0)},
+                util::StrFormat("%.1f", rm.Sum(&CycleMetrics::insert_minutes)),
+                util::StrFormat("%.1f", rm.Sum(&CycleMetrics::reorg_minutes)),
+                util::StrFormat("%.0f%%", rm.mean_rsd() * 100.0),
+                util::StrFormat("%.1f", ra.Sum(&CycleMetrics::insert_minutes)),
+                util::StrFormat("%.1f", ra.Sum(&CycleMetrics::reorg_minutes)),
+                util::StrFormat("%.0f%%", ra.mean_rsd() * 100.0)},
                widths);
-    const double reorg = rm.total_reorg_minutes + ra.total_reorg_minutes;
+    const double reorg = rm.Sum(&CycleMetrics::reorg_minutes) +
+                         ra.Sum(&CycleMetrics::reorg_minutes);
     if (kind == core::PartitionerKind::kRoundRobin ||
         kind == core::PartitionerKind::kUniformRange) {
       global_reorg += reorg;

@@ -11,6 +11,7 @@
 #include "workload/runner.h"
 
 using namespace arraydb;
+using workload::CycleMetrics;
 
 int main() {
   std::printf(
@@ -35,10 +36,10 @@ int main() {
     const double total = rm.total_benchmark_minutes() +
                          ra.total_benchmark_minutes();
     bench::Row({core::PartitionerKindName(kind),
-                util::StrFormat("%.1f", rm.total_science_minutes),
-                util::StrFormat("%.1f", rm.total_spj_minutes),
-                util::StrFormat("%.1f", ra.total_science_minutes),
-                util::StrFormat("%.1f", ra.total_spj_minutes),
+                util::StrFormat("%.1f", rm.Sum(&CycleMetrics::science_minutes)),
+                util::StrFormat("%.1f", rm.Sum(&CycleMetrics::spj_minutes)),
+                util::StrFormat("%.1f", ra.Sum(&CycleMetrics::science_minutes)),
+                util::StrFormat("%.1f", ra.Sum(&CycleMetrics::spj_minutes)),
                 util::StrFormat("%.1f", total)},
                widths);
     if (kind == core::PartitionerKind::kRoundRobin) baseline_total = total;

@@ -17,6 +17,7 @@
 #include "workload/runner.h"
 
 using namespace arraydb;
+using workload::CycleMetrics;
 
 namespace {
 
@@ -70,21 +71,22 @@ int main() {
   bench::Row({"", "(min)", "(min)", "(min)", "(min)", "(min)", ""}, widths);
   bench::Rule(84);
   const auto row = [&](const char* name, const workload::RunResult& r) {
-    bench::Row({name, util::StrFormat("%.1f", r.total_insert_minutes),
-                util::StrFormat("%.1f", r.total_reorg_minutes),
-                util::StrFormat("%.1f", r.total_benchmark_minutes()),
-                util::StrFormat("%.1f", r.total_elapsed_minutes),
-                util::StrFormat("%.1f", r.total_overlap_saved_minutes),
-                util::StrFormat("%d",
-                                static_cast<int>(r.total_reorg_increments))},
-               widths);
+    bench::Row(
+        {name, util::StrFormat("%.1f", r.Sum(&CycleMetrics::insert_minutes)),
+         util::StrFormat("%.1f", r.Sum(&CycleMetrics::reorg_minutes)),
+         util::StrFormat("%.1f", r.total_benchmark_minutes()),
+         util::StrFormat("%.1f", r.Sum(&CycleMetrics::elapsed_minutes)),
+         util::StrFormat("%.1f", r.Sum(&CycleMetrics::overlap_saved_minutes)),
+         util::StrFormat("%d", r.Sum(&CycleMetrics::reorg_increments))},
+        widths);
   };
   row("blocking", blocking);
   row("overlapped", overlapped);
   bench::Rule(84);
 
-  const double speedup = blocking.total_workload_minutes() /
-                         overlapped.total_elapsed_minutes;
+  const double overlapped_elapsed =
+      overlapped.Sum(&CycleMetrics::elapsed_minutes);
+  const double speedup = blocking.total_workload_minutes() / overlapped_elapsed;
   std::printf(
       "Overlapped cycles run %.2fx faster end to end: migration increments\n"
       "execute behind the query workload (dual-residency routing keeps\n"
@@ -116,14 +118,14 @@ int main() {
   bench::Row({"", "(min)", "(min)", "(GB)", "drains", ""}, awidths);
   bench::Rule(74);
   const auto arow = [&](const char* name, const workload::RunResult& r) {
-    double moved = 0.0;
-    for (const auto& m : r.cycles) moved += m.moved_gb;
-    bench::Row({name, util::StrFormat("%.1f", r.total_ingest_stall_minutes),
-                util::StrFormat("%.1f", r.total_elapsed_minutes),
-                util::StrFormat("%.1f", moved),
-                util::StrFormat("%d", r.forced_drains),
-                util::StrFormat("%d",
-                                static_cast<int>(r.total_reorg_increments))},
+    const double stall = r.Sum(&CycleMetrics::ingest_stall_minutes);
+    const int forced_drains = r.Sum(
+        [](const CycleMetrics& m) { return int{m.reorg_forced_drain}; });
+    bench::Row({name, util::StrFormat("%.1f", stall),
+                util::StrFormat("%.1f", r.Sum(&CycleMetrics::elapsed_minutes)),
+                util::StrFormat("%.1f", r.Sum(&CycleMetrics::moved_gb)),
+                util::StrFormat("%d", forced_drains),
+                util::StrFormat("%d", r.Sum(&CycleMetrics::reorg_increments))},
                awidths);
   };
   arow("fixed-drain", fixed_drain);
@@ -134,34 +136,31 @@ int main() {
       "deadline, hiding it behind the query window instead of stalling the\n"
       "ingest path.\n");
 
+  const double fixed_stall =
+      fixed_drain.Sum(&CycleMetrics::ingest_stall_minutes);
+  const double arbitrated_stall =
+      arbitrated.Sum(&CycleMetrics::ingest_stall_minutes);
   bench::JsonBenchWriter writer;
   writer.AddMetric("blocking_total_minutes",
                    blocking.total_workload_minutes());
   // The blocking schedule runs on the incremental engine, so its elapsed
   // total is the incremental total.
   writer.AddMetric("incremental_total_minutes",
-                   blocking.total_elapsed_minutes);
-  writer.AddMetric("overlapped_total_minutes",
-                   overlapped.total_elapsed_minutes);
+                   blocking.Sum(&CycleMetrics::elapsed_minutes));
+  writer.AddMetric("overlapped_total_minutes", overlapped_elapsed);
   writer.AddMetric("overlap_saved_minutes",
-                   overlapped.total_overlap_saved_minutes);
+                   overlapped.Sum(&CycleMetrics::overlap_saved_minutes));
   writer.AddMetric("overlap_speedup_x", speedup);
-  writer.AddMetric("reorg_increments",
-                   static_cast<double>(overlapped.total_reorg_increments));
-  writer.AddMetric("moved_gb", [&] {
-    double gb = 0.0;
-    for (const auto& m : overlapped.cycles) gb += m.moved_gb;
-    return gb;
-  }());
-  writer.AddMetric("fixed_ingest_stall_minutes",
-                   fixed_drain.total_ingest_stall_minutes);
-  writer.AddMetric("arbitrated_ingest_stall_minutes",
-                   arbitrated.total_ingest_stall_minutes);
+  writer.AddMetric(
+      "reorg_increments",
+      static_cast<double>(overlapped.Sum(&CycleMetrics::reorg_increments)));
+  writer.AddMetric("moved_gb", overlapped.Sum(&CycleMetrics::moved_gb));
+  writer.AddMetric("fixed_ingest_stall_minutes", fixed_stall);
+  writer.AddMetric("arbitrated_ingest_stall_minutes", arbitrated_stall);
   writer.AddMetric("arbitration_stall_reduction_x",
-                   fixed_drain.total_ingest_stall_minutes /
-                       std::max(arbitrated.total_ingest_stall_minutes, 1.0));
+                   fixed_stall / std::max(arbitrated_stall, 1.0));
   writer.AddMetric("arbitrated_elapsed_minutes",
-                   arbitrated.total_elapsed_minutes);
+                   arbitrated.Sum(&CycleMetrics::elapsed_minutes));
   if (!writer.WriteFile("BENCH_reorg.json")) {
     std::fprintf(stderr, "failed to write BENCH_reorg.json\n");
     return 1;
@@ -169,22 +168,18 @@ int main() {
   std::printf("\nWrote BENCH_reorg.json\n");
 
   // The acceptance properties this bench exists to demonstrate.
-  if (!(overlapped.total_elapsed_minutes <
-        blocking.total_workload_minutes())) {
+  if (!(overlapped_elapsed < blocking.total_workload_minutes())) {
     std::fprintf(stderr,
                  "FAIL: overlapped elapsed (%.2f) not below blocking "
                  "(%.2f)\n",
-                 overlapped.total_elapsed_minutes,
-                 blocking.total_workload_minutes());
+                 overlapped_elapsed, blocking.total_workload_minutes());
     return 1;
   }
-  if (!(arbitrated.total_ingest_stall_minutes <
-        fixed_drain.total_ingest_stall_minutes)) {
+  if (!(arbitrated_stall < fixed_stall)) {
     std::fprintf(stderr,
                  "FAIL: arbitrated ingest stall (%.2f) not below the fixed "
                  "8 GB budget's (%.2f)\n",
-                 arbitrated.total_ingest_stall_minutes,
-                 fixed_drain.total_ingest_stall_minutes);
+                 arbitrated_stall, fixed_stall);
     return 1;
   }
   return 0;

@@ -74,13 +74,10 @@ int main() {
     std::printf(
         "  balance RSD %.0f%%, reorg %.1f min (%.0f GB moved), SPJ %.1f "
         "min,\n  science %.1f min, Eq.1 cost %.1f node-hours\n",
-        r.mean_rsd * 100.0, r.total_reorg_minutes,
-        [&] {
-          double gb = 0.0;
-          for (const auto& m : r.cycles) gb += m.moved_gb;
-          return gb;
-        }(),
-        r.total_spj_minutes, r.total_science_minutes, r.cost_node_hours);
+        r.mean_rsd() * 100.0, r.Sum(&workload::CycleMetrics::reorg_minutes),
+        r.Sum(&workload::CycleMetrics::moved_gb),
+        r.Sum(&workload::CycleMetrics::spj_minutes),
+        r.Sum(&workload::CycleMetrics::science_minutes), r.cost_node_hours());
   }
   std::printf(
       "\nThe baseline balances storage almost perfectly but scatters every\n"

@@ -104,7 +104,8 @@ int main() {
   std::printf(
       "\nTotals: insert %.1f min, reorg %.1f min, benchmarks %.1f min; "
       "Eq.1 cost %.1f node-hours\n",
-      result.total_insert_minutes, result.total_reorg_minutes,
-      result.total_benchmark_minutes(), result.cost_node_hours);
+      result.Sum(&workload::CycleMetrics::insert_minutes),
+      result.Sum(&workload::CycleMetrics::reorg_minutes),
+      result.total_benchmark_minutes(), result.cost_node_hours());
   return 0;
 }

@@ -122,15 +122,15 @@ util::Status IncrementalReorgEngine::ProcessNodeDeaths() {
   if (options_.injector == nullptr) return util::Status::Ok();
   // Record newly due deaths (the sorted insert keeps iteration order
   // deterministic under lint rule R1).
+  FaultCounts observed;
   for (const cluster::NodeId dead :
        options_.injector->DeadNodesAt(virtual_minutes_)) {
     if (IsDead(dead)) continue;
     dead_nodes_.insert(
         std::lower_bound(dead_nodes_.begin(), dead_nodes_.end(), dead), dead);
-    summary_.node_deaths += 1;
-    summary_.faults_injected += 1;
-    TELEM_COUNTER_ADD("reorg.engine.node_deaths", 1);
+    observed.node_deaths += 1;
   }
+  RecordFaults(observed);
   // Re-check *every* known death against the staged moves, not just the new
   // ones: a plan begun after an earlier abort can stage moves targeting a
   // node that died long ago.
@@ -199,7 +199,9 @@ util::Status IncrementalReorgEngine::ReplanAroundDeadNode(
   const int64_t replanned = rs.rerouted_pending + rs.reverted_committed;
   const double reverted_gb =
       util::BytesToGb(static_cast<double>(rs.reverted_bytes));
-  summary_.replans += 1;
+  FaultCounts replan;
+  replan.replans = 1;
+  RecordFaults(replan);
   summary_.replanned_chunks += replanned;
   // Reverted flips are un-committed again (their re-copy lands in later
   // Steps); the re-transfer is retry backlog for the next bandwidth
@@ -210,7 +212,6 @@ util::Status IncrementalReorgEngine::ReplanAroundDeadNode(
   summary_.recovery_overhead_minutes +=
       reverted_gb * (cost_model_->params().net_minutes_per_gb +
                      cost_model_->params().io_minutes_per_gb);
-  TELEM_COUNTER_ADD("reorg.engine.replans", 1);
   TELEM_COUNTER_ADD("reorg.engine.replanned_chunks", replanned);
   return util::Status::Ok();
 }
@@ -260,9 +261,8 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
     stats.attempts = attempt;
     if (attempt > 1) {
       const double backoff_ms = BackoffMsBeforeRetry(attempt - 1);
-      stats.backoff_ms += backoff_ms;
-      summary_.backoff_ms += backoff_ms;
-      summary_.retries += 1;
+      stats.faults.backoff_ms += backoff_ms;
+      stats.faults.retries += 1;
       const double backoff_minutes = backoff_ms * kMinutesPerMs;
       virtual_minutes_ += backoff_minutes;
       stats.fault_extra_minutes += backoff_minutes;
@@ -307,11 +307,8 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
         slow_bytes += moves[i].bytes;
       }
     }
-    stats.transient_failures += transient;
-    stats.slow_copies += slow;
-    summary_.transient_failures += transient;
-    summary_.slow_copies += slow;
-    summary_.faults_injected += transient + slow;
+    stats.faults.transient_failures += transient;
+    stats.faults.slow_copies += slow;
 
     // Slow copies dilate the attempt: the slice finishes when its slowest
     // transfers do, so the dilated byte fraction stretches the price.
@@ -328,8 +325,7 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
       virtual_minutes_ += timeout;
       stats.fault_extra_minutes += timeout;
       summary_.recovery_overhead_minutes += timeout;
-      stats.timeouts += 1;
-      summary_.timeouts += 1;
+      stats.faults.timeouts += 1;
       summary_.retry_gb += stats.moved_gb;
       failure = util::Annotate(
           util::Unavailable(util::StrFormat(
@@ -363,29 +359,10 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
     break;
   }
 
-  // Fault telemetry covers both outcomes; every value below is a plain
-  // local (lint rule R3: macro args stay expression-only).
-  const int64_t inc_transients = stats.transient_failures;
-  const int64_t inc_slow = stats.slow_copies;
-  const int64_t inc_faults = inc_transients + inc_slow;
-  const int64_t inc_retries = stats.attempts - 1;
-  const int64_t inc_timeouts = stats.timeouts;
-  const int64_t inc_backoff_ms =
-      static_cast<int64_t>(std::llround(stats.backoff_ms));
-  if (inc_faults > 0) {
-    TELEM_COUNTER_ADD("reorg.engine.faults_injected", inc_faults);
-  }
-  if (inc_transients > 0) {
-    TELEM_COUNTER_ADD("reorg.engine.transient_failures", inc_transients);
-  }
-  if (inc_slow > 0) TELEM_COUNTER_ADD("reorg.engine.slow_copies", inc_slow);
-  if (inc_retries > 0) TELEM_COUNTER_ADD("reorg.engine.retries", inc_retries);
-  if (inc_timeouts > 0) {
-    TELEM_COUNTER_ADD("reorg.engine.timeouts", inc_timeouts);
-  }
-  if (inc_backoff_ms > 0) {
-    TELEM_COUNTER_ADD("reorg.engine.backoff_ms", inc_backoff_ms);
-  }
+  // Fault accounting covers both outcomes, folded once per Step. The
+  // backoff values are exact in binary, so the fold matches per-retry
+  // accumulation bit for bit.
+  RecordFaults(stats.faults);
 
   if (!succeeded) {
     // Retries exhausted: rewind the in-flight slice (nothing was flipped)
@@ -421,6 +398,31 @@ util::StatusOr<IncrementStats> IncrementalReorgEngine::Step() {
   }
   summary_.moved_gb_per_increment.push_back(stats.moved_gb);
   return stats;
+}
+
+void IncrementalReorgEngine::RecordFaults(const FaultCounts& faults) {
+  summary_.faults += faults;
+  // Every value below is a plain local (lint rule R3: macro args stay
+  // expression-only).
+  const int64_t injected = faults.injected();
+  const int64_t transients = faults.transient_failures;
+  const int64_t slow = faults.slow_copies;
+  const int64_t retries = faults.retries;
+  const int64_t timeouts = faults.timeouts;
+  const int64_t deaths = faults.node_deaths;
+  const int64_t replans = faults.replans;
+  const int64_t backoff_ms =
+      static_cast<int64_t>(std::llround(faults.backoff_ms));
+  if (injected > 0) TELEM_COUNTER_ADD("reorg.engine.faults_injected", injected);
+  if (transients > 0) {
+    TELEM_COUNTER_ADD("reorg.engine.transient_failures", transients);
+  }
+  if (slow > 0) TELEM_COUNTER_ADD("reorg.engine.slow_copies", slow);
+  if (retries > 0) TELEM_COUNTER_ADD("reorg.engine.retries", retries);
+  if (timeouts > 0) TELEM_COUNTER_ADD("reorg.engine.timeouts", timeouts);
+  if (deaths > 0) TELEM_COUNTER_ADD("reorg.engine.node_deaths", deaths);
+  if (replans > 0) TELEM_COUNTER_ADD("reorg.engine.replans", replans);
+  if (backoff_ms > 0) TELEM_COUNTER_ADD("reorg.engine.backoff_ms", backoff_ms);
 }
 
 util::Status IncrementalReorgEngine::StepAll() {

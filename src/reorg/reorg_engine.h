@@ -118,6 +118,56 @@ struct ReorgOptions {
   int plan_ordinal_base = 0;
 };
 
+/// Fault tallies — the one record shared by an increment (IncrementStats),
+/// a reorganization (ReorgSummary), and a workload cycle
+/// (workload::CycleMetrics). All zero on the fault-free path.
+struct FaultCounts {
+  /// Moves that drew a transient transfer failure, summed over attempts.
+  int64_t transient_failures = 0;
+  /// Moves that drew a slow copy, summed over attempts.
+  int64_t slow_copies = 0;
+  /// Attempts beyond the first (includes timeout-triggered retries).
+  int64_t retries = 0;
+  /// Attempts abandoned at the per-increment timeout.
+  int64_t timeouts = 0;
+  /// Scheduled node deaths observed.
+  int64_t node_deaths = 0;
+  /// Replans around dead destination nodes.
+  int64_t replans = 0;
+  /// Virtual backoff milliseconds spent between attempts.
+  double backoff_ms = 0.0;
+
+  /// Injected faults: transient failures + slow copies + node deaths. The
+  /// reorg.engine.faults_injected counter is emitted from this definition.
+  int64_t injected() const {
+    return transient_failures + slow_copies + node_deaths;
+  }
+
+  FaultCounts& operator+=(const FaultCounts& o) {
+    transient_failures += o.transient_failures;
+    slow_copies += o.slow_copies;
+    retries += o.retries;
+    timeouts += o.timeouts;
+    node_deaths += o.node_deaths;
+    replans += o.replans;
+    backoff_ms += o.backoff_ms;
+    return *this;
+  }
+
+  friend FaultCounts operator-(FaultCounts a, const FaultCounts& b) {
+    a.transient_failures -= b.transient_failures;
+    a.slow_copies -= b.slow_copies;
+    a.retries -= b.retries;
+    a.timeouts -= b.timeouts;
+    a.node_deaths -= b.node_deaths;
+    a.replans -= b.replans;
+    a.backoff_ms -= b.backoff_ms;
+    return a;
+  }
+
+  bool operator==(const FaultCounts&) const = default;
+};
+
 /// Accounting for one committed increment.
 struct IncrementStats {
   int index = 0;
@@ -139,14 +189,10 @@ struct IncrementStats {
   double over_budget_gb = 0.0;
   /// Copy attempts this increment took (1 = fault-free).
   int attempts = 1;
-  /// Moves that drew a transient transfer failure, summed over attempts.
-  int64_t transient_failures = 0;
-  /// Moves that drew a slow copy, summed over attempts.
-  int64_t slow_copies = 0;
-  /// Attempts abandoned at the per-increment timeout.
-  int timeouts = 0;
-  /// Virtual backoff milliseconds spent between attempts.
-  double backoff_ms = 0.0;
+  /// Fault tallies of this increment's copy attempts. Node deaths and
+  /// replans are observed before the slice is carved and recorded straight
+  /// into ReorgSummary::faults, so they stay zero here.
+  FaultCounts faults;
   /// Virtual minutes beyond the fault-free slice price: failed attempts,
   /// backoff, and slow-copy dilation.
   double fault_extra_minutes = 0.0;
@@ -179,20 +225,9 @@ struct ReorgSummary {
   std::vector<double> moved_gb_per_increment;
 
   // -- Failure accounting (all zero on the fault-free path) -----------------
-  /// Total injected faults: transient failures + slow copies + node deaths.
-  int64_t faults_injected = 0;
-  int64_t transient_failures = 0;
-  int64_t slow_copies = 0;
-  /// Retries = attempts beyond the first, summed over increments (includes
-  /// timeout-triggered retries).
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  /// Virtual backoff milliseconds spent between attempts.
-  double backoff_ms = 0.0;
-  /// Scheduled node deaths this reorganization observed.
-  int64_t node_deaths = 0;
-  /// Replans around dead destination nodes.
-  int64_t replans = 0;
+  /// Every increment's IncrementStats::faults (folded in once per Step),
+  /// plus the node deaths and replans observed between increments.
+  FaultCounts faults;
   /// Moves a replan redirected (pending reroutes + reverted re-stages).
   int64_t replanned_chunks = 0;
   /// GB expected to be re-transferred: failed whole-slice attempts plus
@@ -205,8 +240,9 @@ struct ReorgSummary {
   bool aborted = false;
   /// Virtual minutes of pure fault overhead: failed attempts, backoff,
   /// slow-copy dilation, and the modeled re-copy price of replan-reverted
-  /// bytes. The recovery-overhead ratio gated by bench_fault is built from
-  /// this.
+  /// bytes. Kept outside FaultCounts: it is a float accumulated per event in
+  /// a fixed order. The recovery-overhead ratio gated by bench_fault is
+  /// built from this.
   double recovery_overhead_minutes = 0.0;
 };
 
@@ -281,6 +317,10 @@ class IncrementalReorgEngine {
   /// (and re-checks earlier deaths against freshly staged moves): a death
   /// that owns staged destinations triggers ReplanAroundDeadNode.
   util::Status ProcessNodeDeaths();
+
+  /// Folds fault tallies into the summary and emits the matching
+  /// reorg.engine.* counters — the one place either is written.
+  void RecordFaults(const FaultCounts& faults);
 
   /// Reroutes every staged move targeting `dead` onto surviving new nodes
   /// (deterministic least-projected-load, ties to the lowest id), preserving

@@ -15,27 +15,6 @@
 
 namespace arraydb::workload {
 
-std::vector<double> RunResult::MovedGbTrajectory() const {
-  std::vector<double> out;
-  out.reserve(cycles.size());
-  for (const auto& m : cycles) out.push_back(m.moved_gb);
-  return out;
-}
-
-std::vector<double> RunResult::MigrationBudgetTrajectory() const {
-  std::vector<double> out;
-  out.reserve(cycles.size());
-  for (const auto& m : cycles) out.push_back(m.migration_budget_gb);
-  return out;
-}
-
-std::vector<double> RunResult::IngestStallTrajectory() const {
-  std::vector<double> out;
-  out.reserve(cycles.size());
-  for (const auto& m : cycles) out.push_back(m.ingest_stall_minutes);
-  return out;
-}
-
 namespace {
 
 // Simulated minutes → integer milliseconds for the telemetry registry
@@ -66,18 +45,11 @@ void RecordCycleTelemetry(const CycleMetrics& m, bool scaled_out) {
   }
   TELEM_HISTOGRAM_RECORD("workload.runner.cycle_elapsed_ms",
                          MinutesToMs(m.elapsed_minutes));
-  // Fault/recovery mirror (zero-valued adds are skipped so fault-free runs
-  // leave no workload.runner.fault metrics behind).
-  if (m.faults_injected > 0) {
-    TELEM_COUNTER_ADD("workload.runner.faults_injected", m.faults_injected);
-  }
-  if (m.retries > 0) TELEM_COUNTER_ADD("workload.runner.retries", m.retries);
-  if (m.replans > 0) TELEM_COUNTER_ADD("workload.runner.replans", m.replans);
-  if (m.reorg_aborts > 0) {
-    TELEM_COUNTER_ADD("workload.runner.reorg_aborts", m.reorg_aborts);
-  }
-  if (m.reorg_abandoned) {
-    TELEM_COUNTER_ADD("workload.runner.reorgs_abandoned", 1);
+  // Recovery outcomes the engine cannot see (its own fault tallies are the
+  // reorg.engine.* counters). Zero-valued adds are skipped so fault-free
+  // runs leave no recovery metrics behind.
+  if (m.reorgs_abandoned > 0) {
+    TELEM_COUNTER_ADD("workload.runner.reorgs_abandoned", m.reorgs_abandoned);
   }
   if (m.recovery_overhead_minutes > 0.0) {
     TELEM_COUNTER_ADD("workload.runner.recovery_overhead_ms",
@@ -85,14 +57,12 @@ void RecordCycleTelemetry(const CycleMetrics& m, bool scaled_out) {
   }
 }
 
-// Raw latencies and admission counts pooled across every serving cycle
-// (the run-level percentiles come from the pooled population, not from
-// averaging per-cycle percentiles).
+// Raw latencies pooled across every serving cycle (the run-level
+// percentiles come from the pooled population, not from averaging
+// per-cycle percentiles).
 struct ServingPools {
   std::vector<double> interactive_latencies;
   std::vector<double> batch_latencies;
-  int64_t admitted = 0;
-  int64_t rejected = 0;
 };
 
 // Plays one cycle's mixed heavy-traffic scenario through the serving
@@ -198,8 +168,6 @@ ServingCycleMetrics RunServingCycle(
   metrics.dilation = dilation;
   metrics.makespan_minutes = served.makespan_minutes;
 
-  pools->admitted += metrics.admitted;
-  pools->rejected += metrics.rejected;
   for (const serve::Completed& rec : served.completed) {
     (rec.tier == serve::Tier::kInteractive ? pools->interactive_latencies
                                            : pools->batch_latencies)
@@ -319,15 +287,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       // Fault/recovery deltas. Overhead minutes are real elapsed work on
       // top of the plan's schedule-invariant price; retry traffic feeds
       // the next cycle's bandwidth demand.
-      m.faults_injected += s.faults_injected - charged.faults_injected;
-      m.transient_failures +=
-          s.transient_failures - charged.transient_failures;
-      m.slow_copies += s.slow_copies - charged.slow_copies;
-      m.retries += s.retries - charged.retries;
-      m.timeouts += s.timeouts - charged.timeouts;
-      m.node_deaths += s.node_deaths - charged.node_deaths;
-      m.replans += s.replans - charged.replans;
-      m.backoff_ms += s.backoff_ms - charged.backoff_ms;
+      m.faults += s.faults - charged.faults;
       const double recovery =
           s.recovery_overhead_minutes - charged.recovery_overhead_minutes;
       if (recovery > 0.0) {
@@ -371,13 +331,11 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         ARRAYDB_CHECK(status.code() == util::StatusCode::kUnavailable);
         charge_migration();
         m.reorg_aborts += 1;
-        result.total_reorg_aborts += 1;
         ARRAYDB_CHECK(background->Abort().ok());
         m.rolled_back_gb += background->summary().rolled_back_gb;
         if (plan_restarts >= config_.fault.max_plan_restarts) {
           release_background();
-          m.reorg_abandoned = true;
-          result.reorgs_abandoned += 1;
+          m.reorgs_abandoned += 1;
           return;
         }
         plan_restarts += 1;
@@ -420,7 +378,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       }
       m.migration_budget_gb += remaining;
       m.reorg_forced_drain = true;
-      result.forced_drains += 1;
     }
 
     if (to_add > 0) {
@@ -564,8 +521,8 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         // capacity shed, protecting interactive latency while the
         // migration plane re-transfers.
         m.serving_degraded =
-            faults_on && (m.retries > 0 || m.timeouts > 0 ||
-                          m.replans > 0 || m.reorg_aborts > 0);
+            faults_on && (m.faults.retries > 0 || m.faults.timeouts > 0 ||
+                          m.faults.replans > 0 || m.reorg_aborts > 0);
         m.serving = RunServingCycle(config_.serving, query_engine, view,
                                     workload.schema(), suite,
                                     serving_dilation, m.serving_degraded,
@@ -598,36 +555,11 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
                         benchmark_minutes - m.overlap_saved_minutes;
     overlap_window.Observe(benchmark_minutes);
 
-    // Eq. 1: N_i * elapsed_i, accumulated in node hours (elapsed equals
-    // I_i + r_i + w_i under kBlocking).
-    result.cost_node_hours +=
-        static_cast<double>(m.nodes_after) * m.elapsed_minutes / 60.0;
-
-    result.total_insert_minutes += m.insert_minutes;
-    result.total_reorg_minutes += m.reorg_minutes;
-    result.total_spj_minutes += m.spj_minutes;
-    result.total_science_minutes += m.science_minutes;
-    result.total_reorg_increments += m.reorg_increments;
-    result.total_overlap_saved_minutes += m.overlap_saved_minutes;
-    result.total_ingest_stall_minutes += m.ingest_stall_minutes;
-    result.total_over_budget_increments += m.reorg_over_budget_increments;
-    result.total_elapsed_minutes += m.elapsed_minutes;
-    result.total_faults_injected += m.faults_injected;
-    result.total_retries += m.retries;
-    result.total_timeouts += m.timeouts;
-    result.total_node_deaths += m.node_deaths;
-    result.total_replans += m.replans;
-    result.total_backoff_ms += m.backoff_ms;
-    result.total_recovery_overhead_minutes += m.recovery_overhead_minutes;
-    result.mean_rsd += m.rsd;
     // Simulated wall time feeds the virtual clock the next plan's engine
     // starts at (node-death schedules trigger against it).
     virtual_now += m.elapsed_minutes;
     RecordCycleTelemetry(m, to_add > 0);
     result.cycles.push_back(std::move(m));
-  }
-  if (!result.cycles.empty()) {
-    result.mean_rsd /= static_cast<double>(result.cycles.size());
   }
   result.final_nodes = result.cycles.empty()
                            ? config_.initial_nodes
@@ -637,8 +569,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         serve::Summarize(std::move(serving_pools.interactive_latencies));
     result.serving_batch =
         serve::Summarize(std::move(serving_pools.batch_latencies));
-    result.serving_admitted = serving_pools.admitted;
-    result.serving_rejected = serving_pools.rejected;
   }
   if (tracing.has_value()) {
     tracing.reset();  // Close the capture window before serializing.

@@ -1,7 +1,8 @@
 // WorkloadRunner: executes the cyclic workload model (§3.4) end to end —
 // per cycle: provision check, scale-out + reorganization, batch insert,
 // then both benchmark suites — and records the metrics behind every figure
-// and table of §6.
+// and table of §6: one CycleMetrics record per cycle, from which RunResult
+// derives every run total (RunResult::Sum / Series).
 //
 // Every scale-out's MovePlan runs through reorg::IncrementalReorgEngine.
 // The plan is priced once, as a whole (Table 1, Fig. 4), so how its moves
@@ -23,8 +24,10 @@
 #define ARRAYDB_WORKLOAD_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -175,6 +178,8 @@ struct ServingCycleMetrics {
   /// paced migration window).
   double dilation = 1.0;
   double makespan_minutes = 0.0;
+
+  bool operator==(const ServingCycleMetrics&) const = default;
 };
 
 /// Everything measured in one workload cycle.
@@ -217,22 +222,16 @@ struct CycleMetrics {
   /// credit. Equals the serial sum under kBlocking.
   double elapsed_minutes = 0.0;
   // -- Fault/recovery metrics (zero unless FaultConfig::enabled) ----------
-  int64_t faults_injected = 0;
-  int64_t transient_failures = 0;
-  int64_t slow_copies = 0;
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  int64_t node_deaths = 0;
-  int64_t replans = 0;
-  /// Virtual backoff milliseconds spent between copy attempts.
-  double backoff_ms = 0.0;
+  /// The engine's fault tallies for the migration executed this cycle.
+  reorg::FaultCounts faults;
   /// Abort-and-restage recoveries this cycle (engine retries exhausted).
   int reorg_aborts = 0;
   /// Committed GB rolled back onto source replicas by aborts this cycle.
   double rolled_back_gb = 0.0;
-  /// True when the plan ran out of restage attempts and was abandoned (the
-  /// rollback left the exact pre-reorg placement; the cluster serves on).
-  bool reorg_abandoned = false;
+  /// Plans abandoned after running out of restage attempts (the rollback
+  /// left the exact pre-reorg placement; the cluster serves on). A count:
+  /// under kPaced a force-drained plan and its successor can both go.
+  int reorgs_abandoned = 0;
   /// Virtual minutes of pure fault overhead charged to this cycle's
   /// reorg_minutes (failed attempts, backoff, dilation, replan re-copies).
   double recovery_overhead_minutes = 0.0;
@@ -247,61 +246,66 @@ struct CycleMetrics {
   /// Serving-layer stats for this cycle (ran == false unless
   /// ServingConfig::enabled).
   ServingCycleMetrics serving;
+
+  bool operator==(const CycleMetrics&) const = default;
 };
 
+/// A run's record. The cycles are the only stored metrics: every run-level
+/// figure (Eq. 1, the Fig. 4/5/8 minutes, fault tallies) derives from them.
 struct RunResult {
   std::vector<CycleMetrics> cycles;
-  double total_insert_minutes = 0.0;
-  double total_reorg_minutes = 0.0;
-  double total_spj_minutes = 0.0;
-  double total_science_minutes = 0.0;
-  double mean_rsd = 0.0;          // Averaged over all inserts (Figure 4).
-  double cost_node_hours = 0.0;   // Eq. 1, on elapsed cycle time.
   int final_nodes = 0;
-  int64_t total_reorg_increments = 0;
-  double total_overlap_saved_minutes = 0.0;
-  /// Total minutes the ingest pipeline waited on migration traffic.
-  double total_ingest_stall_minutes = 0.0;
-  int64_t total_over_budget_increments = 0;
-  /// Paced migrations force-drained by an early scale-out.
-  int forced_drains = 0;
-  /// Sum of per-cycle elapsed times; equals total_workload_minutes() under
-  /// kBlocking, strictly below it when queries overlapped a migration.
-  double total_elapsed_minutes = 0.0;
   /// Pooled serving-layer latency summaries across all cycles (counts are
-  /// zero unless ServingConfig::enabled).
+  /// zero unless ServingConfig::enabled). Kept because run-level
+  /// percentiles cannot be rebuilt from per-cycle percentiles.
   serve::LatencySummary serving_interactive;
   serve::LatencySummary serving_batch;
-  int64_t serving_admitted = 0;
-  int64_t serving_rejected = 0;
-  // -- Fault/recovery totals (zero unless FaultConfig::enabled) -----------
-  int64_t total_faults_injected = 0;
-  int64_t total_retries = 0;
-  int64_t total_timeouts = 0;
-  int64_t total_node_deaths = 0;
-  int64_t total_replans = 0;
-  int total_reorg_aborts = 0;
-  /// Reorganizations abandoned after exhausting restage attempts.
-  int reorgs_abandoned = 0;
-  double total_backoff_ms = 0.0;
-  double total_recovery_overhead_minutes = 0.0;
+
+  /// Sums `field` — a CycleMetrics member pointer or a projection — over
+  /// the cycles in cycle order, starting from T{}. E.g.
+  /// Sum(&CycleMetrics::reorg_minutes), Sum(&CycleMetrics::faults).retries.
+  template <typename Field>
+  auto Sum(Field field) const {
+    using T = std::decay_t<std::invoke_result_t<Field, const CycleMetrics&>>;
+    static_assert(!std::is_same_v<T, bool>,
+                  "project a bool field to int before summing it");
+    T total{};
+    for (const CycleMetrics& m : cycles) total += std::invoke(field, m);
+    return total;
+  }
+
+  /// `field` per cycle, in cycle order (a trajectory).
+  template <typename Field>
+  auto Series(Field field) const {
+    using T = std::decay_t<std::invoke_result_t<Field, const CycleMetrics&>>;
+    std::vector<T> out;
+    out.reserve(cycles.size());
+    for (const CycleMetrics& m : cycles) out.push_back(std::invoke(field, m));
+    return out;
+  }
 
   double total_benchmark_minutes() const {
-    return total_spj_minutes + total_science_minutes;
+    return Sum(&CycleMetrics::spj_minutes) +
+           Sum(&CycleMetrics::science_minutes);
   }
+  /// Σ (I_i + r_i + w_i). Summed elapsed_minutes equals it under kBlocking
+  /// and falls below it when queries overlapped a migration.
   double total_workload_minutes() const {
-    return total_insert_minutes + total_reorg_minutes +
-           total_benchmark_minutes();
+    return Sum(&CycleMetrics::insert_minutes) +
+           Sum(&CycleMetrics::reorg_minutes) + total_benchmark_minutes();
   }
-
-  /// Per-cycle moved GB, in cycle order (the reorganization trajectory).
-  std::vector<double> MovedGbTrajectory() const;
-
-  /// Per-cycle granted migration budgets (the arbitration trajectory).
-  std::vector<double> MigrationBudgetTrajectory() const;
-
-  /// Per-cycle ingest stall minutes.
-  std::vector<double> IngestStallTrajectory() const;
+  /// Load balance averaged over all inserts (Figure 4).
+  double mean_rsd() const {
+    if (cycles.empty()) return 0.0;
+    return Sum(&CycleMetrics::rsd) / static_cast<double>(cycles.size());
+  }
+  /// Eq. 1: Σ N_i * elapsed_i, in node hours (elapsed equals I_i + r_i +
+  /// w_i under kBlocking).
+  double cost_node_hours() const {
+    return Sum([](const CycleMetrics& m) {
+      return static_cast<double>(m.nodes_after) * m.elapsed_minutes / 60.0;
+    });
+  }
 };
 
 class WorkloadRunner {

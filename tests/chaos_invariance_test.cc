@@ -137,12 +137,13 @@ std::string RunChaosSchedule(uint64_t seed, const FaultMix& mix, int threads,
     const auto step = engine.Step();
     if (step.ok()) {
       transcript += util::StrFormat(
-          "step i=%d attempts=%d transient=%lld slow=%lld timeouts=%d "
+          "step i=%d attempts=%d transient=%lld slow=%lld timeouts=%lld "
           "backoff=%.6f extra=%.9f digest=%llx;",
           step->index, step->attempts,
-          static_cast<long long>(step->transient_failures),
-          static_cast<long long>(step->slow_copies), step->timeouts,
-          step->backoff_ms, step->fault_extra_minutes,
+          static_cast<long long>(step->faults.transient_failures),
+          static_cast<long long>(step->faults.slow_copies),
+          static_cast<long long>(step->faults.timeouts),
+          step->faults.backoff_ms, step->fault_extra_minutes,
           static_cast<unsigned long long>(step->transfer_digest));
     } else {
       transcript +=
@@ -169,11 +170,12 @@ std::string RunChaosSchedule(uint64_t seed, const FaultMix& mix, int threads,
       "summary inc=%d faults=%lld transient=%lld slow=%lld retries=%lld "
       "timeouts=%lld backoff=%.6f retry_gb=%.9f recovery=%.9f digest=%llx "
       "restarts=%d;",
-      s.increments, static_cast<long long>(s.faults_injected),
-      static_cast<long long>(s.transient_failures),
-      static_cast<long long>(s.slow_copies), static_cast<long long>(s.retries),
-      static_cast<long long>(s.timeouts), s.backoff_ms, s.retry_gb,
-      s.recovery_overhead_minutes,
+      s.increments, static_cast<long long>(s.faults.injected()),
+      static_cast<long long>(s.faults.transient_failures),
+      static_cast<long long>(s.faults.slow_copies),
+      static_cast<long long>(s.faults.retries),
+      static_cast<long long>(s.faults.timeouts), s.faults.backoff_ms,
+      s.retry_gb, s.recovery_overhead_minutes,
       static_cast<unsigned long long>(s.transfer_digest), restarts);
   transcript += "final=" + PlacementString(f.cluster);
   return transcript;
@@ -267,14 +269,15 @@ TEST(ChaosInvarianceTest, NodeDeathReplanKeepsTheSweepInvariant) {
       for (int64_t i = 6; i < 12; ++i) {
         EXPECT_EQ(f.cluster.OwnerOf({i}), 2) << "seed " << seed;
       }
-      EXPECT_GE(engine.summary().replans, 1);
+      EXPECT_GE(engine.summary().faults.replans, 1);
       EXPECT_TRUE(engine.summary().only_to_new_nodes);
       transcripts.push_back(
           PlacementString(f.cluster) +
           util::StrFormat("|replans=%lld deaths=%lld restarts=%d",
-                          static_cast<long long>(engine.summary().replans),
                           static_cast<long long>(
-                              engine.summary().node_deaths),
+                              engine.summary().faults.replans),
+                          static_cast<long long>(
+                              engine.summary().faults.node_deaths),
                           restarts));
     }
     EXPECT_EQ(transcripts[0], transcripts[1]) << "seed " << seed;
@@ -320,9 +323,9 @@ TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
 
     ASSERT_EQ(faulted.cycles.size(), clean.cycles.size());
     EXPECT_EQ(faulted.final_nodes, clean.final_nodes);
-    EXPECT_GT(faulted.total_faults_injected, 0);
-    EXPECT_GT(faulted.total_recovery_overhead_minutes, 0.0);
-    EXPECT_EQ(faulted.total_reorg_aborts, 0);
+    EXPECT_GT(faulted.Sum(&CycleMetrics::faults).injected(), 0);
+    EXPECT_GT(faulted.Sum(&CycleMetrics::recovery_overhead_minutes), 0.0);
+    EXPECT_EQ(faulted.Sum(&CycleMetrics::reorg_aborts), 0);
     // Dilation slows migration; it must never change what queries compute.
     for (size_t c = 0; c < clean.cycles.size(); ++c) {
       ASSERT_EQ(faulted.cycles[c].query_minutes.size(),
@@ -339,7 +342,8 @@ TEST(RunnerChaosTest, SlowCopyFaultsLeaveQueryResultsBitIdentical) {
     }
     // The overhead is visible in the recovery metrics, not hidden in the
     // fault-free accounting.
-    EXPECT_GT(faulted.total_reorg_minutes, clean.total_reorg_minutes);
+    EXPECT_GT(faulted.Sum(&CycleMetrics::reorg_minutes),
+              clean.Sum(&CycleMetrics::reorg_minutes));
   }
 }
 
@@ -358,32 +362,47 @@ TEST(RunnerChaosTest, HostileMixDegradesGracefullyAndReplays) {
 
   ASSERT_EQ(a.cycles.size(), 10u);
   EXPECT_EQ(a.final_nodes, 8);
-  EXPECT_GT(a.total_retries, 0);
-  EXPECT_GT(a.total_reorg_aborts, 0);
-  // Same seed, same trajectory — including the recovery path.
-  EXPECT_EQ(a.total_faults_injected, b.total_faults_injected);
-  EXPECT_EQ(a.total_retries, b.total_retries);
-  EXPECT_EQ(a.total_reorg_aborts, b.total_reorg_aborts);
-  EXPECT_EQ(a.reorgs_abandoned, b.reorgs_abandoned);
-  EXPECT_EQ(a.total_recovery_overhead_minutes,
-            b.total_recovery_overhead_minutes);
-  EXPECT_EQ(a.total_elapsed_minutes, b.total_elapsed_minutes);
-  EXPECT_EQ(a.mean_rsd, b.mean_rsd);
-  for (size_t c = 0; c < a.cycles.size(); ++c) {
-    ASSERT_EQ(a.cycles[c].query_minutes.size(),
-              b.cycles[c].query_minutes.size());
-    for (size_t q = 0; q < a.cycles[c].query_minutes.size(); ++q) {
-      EXPECT_EQ(a.cycles[c].query_minutes[q].second,
-                b.cycles[c].query_minutes[q].second);
-    }
-  }
+  EXPECT_GT(a.Sum(&CycleMetrics::faults).retries, 0);
+  EXPECT_GT(a.Sum(&CycleMetrics::reorg_aborts), 0);
+  // Same seed, same trajectory — every cycle's record, recovery path and
+  // query latencies included.
+  EXPECT_EQ(a.cycles, b.cycles);
   // Degraded serving was signalled on at least one faulted cycle.
   bool any_fault_cycle = false;
   for (const auto& cycle : a.cycles) {
-    if (cycle.retries > 0 || cycle.reorg_aborts > 0) any_fault_cycle = true;
+    if (cycle.faults.retries > 0 || cycle.reorg_aborts > 0) {
+      any_fault_cycle = true;
+    }
   }
   EXPECT_TRUE(any_fault_cycle);
 }
+
+#if ARRAYDB_TELEMETRY_ENABLED
+// The registry's reorg.engine.faults_injected counter and the run record
+// count faults by the same definition (FaultCounts::injected), node deaths
+// included.
+TEST(RunnerChaosTest, RegistryFaultCounterMatchesTheRunRecord) {
+  AisWorkload ais;
+  RunnerConfig cfg = ChaosBase(ReorgSchedule::kOverlapped);
+  cfg.fault.enabled = true;
+  cfg.fault.plan.seed = 17;
+  cfg.fault.plan.slow_copy_rate = 0.3;
+  // Node 7 is the last node any scale-out adds, so the final migration
+  // replans onto its sibling and no later plan sources from it.
+  cfg.fault.plan.node_deaths.push_back({0.0, 7});
+  auto& registry = telemetry::Registry::Global();
+  registry.ResetValues();
+  const auto result = WorkloadRunner(cfg).Run(ais);
+
+  const reorg::FaultCounts faults = result.Sum(&CycleMetrics::faults);
+  EXPECT_GT(faults.node_deaths, 0);
+  EXPECT_GT(faults.replans, 0);
+  EXPECT_EQ(registry.counter("reorg.engine.faults_injected").Value(),
+            faults.injected());
+  EXPECT_EQ(registry.counter("reorg.engine.node_deaths").Value(),
+            faults.node_deaths);
+}
+#endif  // ARRAYDB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace arraydb::workload

@@ -222,8 +222,7 @@ TEST(ReorgFaultTest, ZeroRateInjectorIsBitIdenticalToNoInjector) {
   EXPECT_EQ(plain.summary().transfer_digest, faulty.summary().transfer_digest);
   EXPECT_EQ(plain.summary().increments, faulty.summary().increments);
   EXPECT_EQ(plain.summary().slice_minutes, faulty.summary().slice_minutes);
-  EXPECT_EQ(faulty.summary().faults_injected, 0);
-  EXPECT_EQ(faulty.summary().retries, 0);
+  EXPECT_EQ(faulty.summary().faults, FaultCounts{});
   EXPECT_EQ(faulty.summary().recovery_overhead_minutes, 0.0);
 }
 
@@ -245,11 +244,11 @@ TEST(ReorgFaultTest, TransientFaultsExhaustRetriesWithCappedBackoff) {
   EXPECT_NE(step.status().message().find("increment 0, retry 3"),
             std::string::npos);
   const auto& s = engine.summary();
-  EXPECT_EQ(s.retries, 3);  // 4 attempts = 3 retries.
-  EXPECT_EQ(s.timeouts, 0);
+  EXPECT_EQ(s.faults.retries, 3);  // 4 attempts = 3 retries.
+  EXPECT_EQ(s.faults.timeouts, 0);
   // Default schedule: 100, 200, 400 ms (cap 1600 never reached).
-  EXPECT_DOUBLE_EQ(s.backoff_ms, 700.0);
-  EXPECT_GT(s.transient_failures, 0);
+  EXPECT_DOUBLE_EQ(s.faults.backoff_ms, 700.0);
+  EXPECT_GT(s.faults.transient_failures, 0);
   EXPECT_EQ(s.increments, 0);  // Nothing committed.
   // The failed slice was rewound, not left in flight.
   EXPECT_FALSE(f.cluster.increment_in_flight());
@@ -272,7 +271,7 @@ TEST(ReorgFaultTest, SlowCopiesDilateButCommit) {
   const auto step = engine.Step();
   ASSERT_TRUE(step.ok());
   EXPECT_EQ(step->attempts, 1);
-  EXPECT_EQ(step->slow_copies, 2);
+  EXPECT_EQ(step->faults.slow_copies, 2);
   // Every byte dilated 4x: the extra 3x of the slice price is overhead.
   EXPECT_NEAR(step->fault_extra_minutes, 3.0 * step->minutes, 1e-9);
   ASSERT_TRUE(engine.Drain().ok());
@@ -298,7 +297,7 @@ TEST(ReorgFaultTest, TimeoutAbandonsTheAttempt) {
   ASSERT_FALSE(step.ok());
   EXPECT_EQ(step.status().code(), util::StatusCode::kUnavailable);
   EXPECT_NE(step.status().message().find("timeout"), std::string::npos);
-  EXPECT_EQ(engine.summary().timeouts, 2);
+  EXPECT_EQ(engine.summary().faults.timeouts, 2);
   // Each attempt was charged exactly the timeout, plus one backoff.
   EXPECT_NEAR(engine.virtual_minutes(), 2.0 + 100.0 / 60000.0, 1e-9);
 }
@@ -352,8 +351,8 @@ TEST(ReorgFaultTest, PendingMovesRerouteAroundADeadDestination) {
   }
   const auto& s = engine.summary();
   EXPECT_TRUE(s.only_to_new_nodes);
-  EXPECT_EQ(s.node_deaths, 1);
-  EXPECT_EQ(s.replans, 1);
+  EXPECT_EQ(s.faults.node_deaths, 1);
+  EXPECT_EQ(s.faults.replans, 1);
   EXPECT_EQ(s.replanned_chunks, 2);  // {6,7} were still pending.
 }
 
@@ -387,7 +386,7 @@ TEST(ReorgFaultTest, CommittedMovesRevertAndRestageOnDeath) {
     EXPECT_EQ(cluster.OwnerOf({i}), 2) << "chunk " << i;
   }
   const auto& s = engine.summary();
-  EXPECT_EQ(s.replans, 1);
+  EXPECT_EQ(s.faults.replans, 1);
   EXPECT_EQ(s.replanned_chunks, 2);  // {4,5} reverted and re-staged.
   EXPECT_GT(s.retry_gb, 0.0);       // Their re-copy was retry backlog.
   EXPECT_GT(s.recovery_overhead_minutes, 0.0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "reorg/reorg_engine.h"
 #include "workload/ais.h"
@@ -44,11 +45,11 @@ TEST(RunnerIntegrationTest, ModisReachesEightNodes) {
   EXPECT_GT(result.cycles.back().load_gb, 550.0);
   EXPECT_LT(result.cycles.back().load_gb, 800.0);
   // Every phase charged time.
-  EXPECT_GT(result.total_insert_minutes, 0.0);
-  EXPECT_GT(result.total_reorg_minutes, 0.0);
-  EXPECT_GT(result.total_spj_minutes, 0.0);
-  EXPECT_GT(result.total_science_minutes, 0.0);
-  EXPECT_GT(result.cost_node_hours, 0.0);
+  EXPECT_GT(result.Sum(&CycleMetrics::insert_minutes), 0.0);
+  EXPECT_GT(result.Sum(&CycleMetrics::reorg_minutes), 0.0);
+  EXPECT_GT(result.Sum(&CycleMetrics::spj_minutes), 0.0);
+  EXPECT_GT(result.Sum(&CycleMetrics::science_minutes), 0.0);
+  EXPECT_GT(result.cost_node_hours(), 0.0);
 }
 
 TEST(RunnerIntegrationTest, AisReachesEightNodes) {
@@ -153,9 +154,8 @@ TEST(RunnerIntegrationTest, DisablingQueriesZeroesBenchmarkTime) {
   cfg.run_queries = false;
   WorkloadRunner runner(cfg);
   const auto result = runner.Run(modis);
-  EXPECT_DOUBLE_EQ(result.total_spj_minutes, 0.0);
-  EXPECT_DOUBLE_EQ(result.total_science_minutes, 0.0);
-  EXPECT_GT(result.total_insert_minutes, 0.0);
+  EXPECT_EQ(result.total_benchmark_minutes(), 0.0);
+  EXPECT_GT(result.Sum(&CycleMetrics::insert_minutes), 0.0);
 }
 
 TEST(RunnerIntegrationTest, ResultsAreDeterministic) {
@@ -163,12 +163,44 @@ TEST(RunnerIntegrationTest, ResultsAreDeterministic) {
   WorkloadRunner runner(BaseConfig(core::PartitionerKind::kHilbertCurve));
   const auto a = runner.Run(ais);
   const auto b = runner.Run(ais);
-  ASSERT_EQ(a.cycles.size(), b.cycles.size());
-  EXPECT_DOUBLE_EQ(a.cost_node_hours, b.cost_node_hours);
-  EXPECT_DOUBLE_EQ(a.mean_rsd, b.mean_rsd);
-  for (size_t i = 0; i < a.cycles.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.cycles[i].spj_minutes, b.cycles[i].spj_minutes);
+  EXPECT_EQ(a.cycles, b.cycles);
+}
+
+TEST(RunResultTest, TotalsAreSumsOfCycleMetrics) {
+  RunResult r;
+  for (int i = 0; i < 3; ++i) {
+    CycleMetrics m;
+    m.cycle = i;
+    m.nodes_after = 2 * (i + 1);
+    m.insert_minutes = 1.5 * (i + 1);
+    m.reorg_minutes = 0.25 * i;
+    m.spj_minutes = 1.0;
+    m.science_minutes = 2.0;
+    m.elapsed_minutes = 30.0 * (i + 1);
+    m.rsd = 0.1 * i;
+    m.reorg_forced_drain = i == 1;
+    m.faults.retries = i;
+    m.faults.node_deaths = 1;
+    m.faults.backoff_ms = 100.0 * i;
+    r.cycles.push_back(m);
   }
+  EXPECT_EQ(r.Sum(&CycleMetrics::insert_minutes), 1.5 + 3.0 + 4.5);
+  EXPECT_EQ(r.Series(&CycleMetrics::reorg_minutes),
+            (std::vector<double>{0.0, 0.25, 0.5}));
+  EXPECT_EQ(r.total_benchmark_minutes(), 9.0);
+  EXPECT_EQ(r.total_workload_minutes(), 9.0 + 0.75 + 9.0);
+  EXPECT_DOUBLE_EQ(r.mean_rsd(), 0.1);
+  // Eq. 1: 2 nodes x 0.5 h + 4 x 1 h + 6 x 1.5 h.
+  EXPECT_EQ(r.cost_node_hours(), 1.0 + 4.0 + 9.0);
+  const auto forced_drain = [](const CycleMetrics& m) {
+    return int{m.reorg_forced_drain};
+  };
+  EXPECT_EQ(r.Sum(forced_drain), 1);
+  const reorg::FaultCounts faults = r.Sum(&CycleMetrics::faults);
+  EXPECT_EQ(faults.retries, 3);
+  EXPECT_EQ(faults.backoff_ms, 300.0);
+  EXPECT_EQ(faults.injected(), 3);
+  EXPECT_EQ(RunResult().mean_rsd(), 0.0);
 }
 
 }  // namespace

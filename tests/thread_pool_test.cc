@@ -129,20 +129,8 @@ TEST(ParallelIngestTest, RunnerMetricsIdenticalAcrossThreadCounts) {
     results[i] = workload::WorkloadRunner(cfg).Run(ais);
   }
   for (int i = 1; i < 3; ++i) {
-    ASSERT_EQ(results[i].cycles.size(), results[0].cycles.size());
-    EXPECT_EQ(results[i].cost_node_hours, results[0].cost_node_hours);
-    EXPECT_EQ(results[i].mean_rsd, results[0].mean_rsd);
+    EXPECT_EQ(results[i].cycles, results[0].cycles);
     EXPECT_EQ(results[i].final_nodes, results[0].final_nodes);
-    for (size_t c = 0; c < results[0].cycles.size(); ++c) {
-      const auto& a = results[0].cycles[c];
-      const auto& b = results[i].cycles[c];
-      EXPECT_EQ(b.nodes_after, a.nodes_after);
-      EXPECT_EQ(b.load_gb, a.load_gb);
-      EXPECT_EQ(b.insert_minutes, a.insert_minutes);
-      EXPECT_EQ(b.reorg_minutes, a.reorg_minutes);
-      EXPECT_EQ(b.rsd, a.rsd);
-      EXPECT_EQ(b.chunks_moved, a.chunks_moved);
-    }
   }
 }
 
