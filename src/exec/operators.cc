@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "array/cell_span.h"
@@ -257,17 +258,6 @@ util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
 
 namespace {
 
-// Copies the i-th packed position of `chunk` into `scratch`.
-inline void LoadPos(const array::Chunk& chunk, size_t i,
-                    array::Coordinates& scratch) {
-  const int64_t* pos = chunk.cell_pos(i);
-  scratch.assign(pos, pos + chunk.num_dims());
-}
-
-}  // namespace
-
-namespace {
-
 // Bin origin (floor division handles negative coordinates).
 inline int64_t BinOrigin(int64_t v, int64_t bin) {
   int64_t q = v / bin;
@@ -346,56 +336,381 @@ std::map<array::Coordinates, double> GroupBySum(
 
 namespace {
 
-// Position -> attribute value index for window queries.
-std::unordered_map<array::Coordinates, double, array::CoordinatesHash>
-BuildValueIndex(const array::Array& array, int attr) {
-  std::unordered_map<array::Coordinates, double, array::CoordinatesHash> index;
-  index.reserve(static_cast<size_t>(array.total_cells()));
-  array::Coordinates scratch;
-  // Sorted chunk order: with duplicate positions (e.g. a chunk staged twice
-  // mid-reorg) emplace keeps the first occurrence, so hash-order iteration
-  // would make the index contents history-dependent.
-  for (const array::Chunk* chunk_ptr : array.SortedChunks()) {
-    const array::Chunk& chunk = *chunk_ptr;
-    if (chunk.num_cells() == 0) continue;
-    const auto& column = chunk.attr_column(static_cast<size_t>(attr));
-    for (size_t i = 0; i < chunk.num_cells(); ++i) {
-      LoadPos(chunk, i, scratch);
-      index.emplace(scratch, column[i]);
-    }
+// (2r+1)^ndims, the cells a window of Chebyshev `radius` spans; -1 when
+// that count does not fit in int64.
+int64_t WindowVolume(int64_t radius, int ndims) {
+  if (radius > (std::numeric_limits<int64_t>::max() - 1) / 2) return -1;
+  const int64_t span = 2 * radius + 1;
+  int64_t volume = 1;
+  for (int d = 0; d < ndims; ++d) {
+    if (__builtin_mul_overflow(volume, span, &volume)) return -1;
   }
-  return index;
+  return volume;
 }
 
-// Average of occupied cells within Chebyshev `radius` of `pos`.
-double WindowAverageFromIndex(
-    const std::unordered_map<array::Coordinates, double,
-                             array::CoordinatesHash>& index,
-    const array::Coordinates& pos, int64_t radius) {
-  // Enumerate the window via an odd-base counter per dimension.
-  const size_t ndims = pos.size();
-  const int64_t span = 2 * radius + 1;
-  int64_t total = 1;
-  for (size_t d = 0; d < ndims; ++d) total *= span;
-  double sum = 0.0;
-  int64_t count = 0;
-  array::Coordinates probe(ndims);
-  for (int64_t code = 0; code < total; ++code) {
-    int64_t rest = code;
-    for (size_t d = 0; d < ndims; ++d) {
-      probe[d] = pos[d] + (rest % span) - radius;
-      rest /= span;
+// v - r and v + r clamped to the int64 range, so a window at the edge of
+// the coordinate space never overflows.
+inline int64_t SaturatingSub(int64_t v, int64_t r) {
+  int64_t out = 0;
+  return __builtin_sub_overflow(v, r, &out)
+             ? std::numeric_limits<int64_t>::min()
+             : out;
+}
+inline int64_t SaturatingAdd(int64_t v, int64_t r) {
+  int64_t out = 0;
+  return __builtin_add_overflow(v, r, &out)
+             ? std::numeric_limits<int64_t>::max()
+             : out;
+}
+
+// Lexicographic three-way comparison of two packed positions of `n` dims.
+inline int ComparePos(const int64_t* a, const int64_t* b, size_t n) {
+  for (size_t d = 0; d < n; ++d) {
+    if (a[d] != b[d]) return a[d] < b[d] ? -1 : 1;
+  }
+  return 0;
+}
+
+// Ascending indices i in [0, n) with pred(i), compacted morsel-parallel:
+// each morsel counts its hits, a scan over the per-morsel counts fixes
+// where each morsel writes, and a second pass writes them. The result is a
+// pure function of (n, pred).
+template <typename Pred>
+std::vector<int64_t> SelectIndices(int64_t n, const Pred& pred,
+                                   const MorselScheduler& scheduler,
+                                   int64_t grain) {
+  const std::vector<MorselRange> morsels = MorselScheduler::Carve(n, grain);
+  std::vector<int64_t> offsets(morsels.size() + 1, 0);
+  scheduler.Run(morsels, [&](size_t m, int64_t begin, int64_t end) {
+    int64_t hits = 0;
+    for (int64_t i = begin; i < end; ++i) hits += pred(i) ? 1 : 0;
+    offsets[m + 1] = hits;
+  });
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<int64_t> out(static_cast<size_t>(offsets.back()));
+  scheduler.Run(morsels, [&](size_t m, int64_t begin, int64_t end) {
+    int64_t* dst = out.data() + offsets[m];
+    for (int64_t i = begin; i < end; ++i) {
+      if (pred(i)) *dst++ = i;
     }
-    const auto it = index.find(probe);
-    if (it != index.end()) {
-      // arraydb-lint: fixed-order -- window cells visit in the odd-base
-      // counter's enumeration order, identical for every configuration.
-      sum += it->second;
-      ++count;
+  });
+  return out;
+}
+
+// Of the first k outputs of merge(a, b) under a strict total order, how
+// many come from a (merge-path co-rank).
+template <typename Less>
+int64_t CoRank(int64_t k, const int64_t* a, int64_t na, const int64_t* b,
+               int64_t nb, const Less& less) {
+  int64_t lo = std::max<int64_t>(0, k - nb);
+  int64_t hi = std::min(k, na);
+  while (lo < hi) {
+    const int64_t i = lo + (hi - lo) / 2;
+    if (less(a[i], b[k - i - 1])) {
+      lo = i + 1;
+    } else {
+      hi = i;
     }
   }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  return lo;
 }
+
+// Sorts [0, n) by `less`, a strict total order, morsel-parallel: each
+// morsel sorts its own run, then adjacent runs merge pairwise in a fixed
+// tree. Each merge level is cut by co-rank into ~grain outputs per morsel,
+// so the last levels, one or two big merges, still use every worker. A
+// strict total order admits exactly one sorted permutation, so the result
+// never depends on the grain or the schedule.
+template <typename Less>
+std::unique_ptr<int64_t[]> ParallelSort(int64_t n, const Less& less,
+                                        const MorselScheduler& scheduler,
+                                        int64_t grain) {
+  auto order = std::make_unique_for_overwrite<int64_t[]>(
+      static_cast<size_t>(n));
+  std::vector<MorselRange> runs = MorselScheduler::Carve(n, grain);
+  scheduler.Run(runs, [&](size_t, int64_t begin, int64_t end) {
+    std::iota(order.get() + begin, order.get() + end, begin);
+    std::sort(order.get() + begin, order.get() + end, less);
+  });
+  if (runs.size() <= 1) return order;
+  auto merged = std::make_unique_for_overwrite<int64_t[]>(
+      static_cast<size_t>(n));
+  // One merge morsel: outputs [out, out_end) of merging the run pair
+  // [lo, mid) + [mid, hi); an unpaired last run has mid == hi.
+  struct Piece {
+    int64_t lo, mid, hi, out, out_end;
+  };
+  while (runs.size() > 1) {
+    std::vector<Piece> pieces;
+    std::vector<MorselRange> next;
+    for (size_t r = 0; r < runs.size(); r += 2) {
+      const int64_t lo = runs[r].first;
+      const int64_t mid = runs[r].second;
+      const int64_t hi = r + 1 < runs.size() ? runs[r + 1].second : mid;
+      for (int64_t out = lo; out < hi; out += grain) {
+        pieces.push_back({lo, mid, hi, out, std::min(hi, out + grain)});
+      }
+      next.emplace_back(lo, hi);
+    }
+    scheduler.Run(
+        MorselScheduler::Carve(static_cast<int64_t>(pieces.size()), 1),
+        [&](size_t, int64_t begin, int64_t end) {
+          for (int64_t p = begin; p < end; ++p) {
+            const Piece& piece = pieces[static_cast<size_t>(p)];
+            const int64_t* a = order.get() + piece.lo;
+            const int64_t* b = order.get() + piece.mid;
+            const int64_t na = piece.mid - piece.lo;
+            const int64_t nb = piece.hi - piece.mid;
+            const int64_t i0 =
+                CoRank(piece.out - piece.lo, a, na, b, nb, less);
+            const int64_t i1 =
+                CoRank(piece.out_end - piece.lo, a, na, b, nb, less);
+            std::merge(a + i0, a + i1, b + (piece.out - piece.lo - i0),
+                       b + (piece.out_end - piece.lo - i1),
+                       merged.get() + piece.out, less);
+          }
+        });
+    std::swap(order, merged);
+    runs = std::move(next);
+  }
+  return order;
+}
+
+// One attribute's occupied positions, sorted lexicographically with
+// duplicates removed, in flat arrays: the input both window entry points
+// sweep. A row is a maximal run of positions sharing their first
+// ndims - 1 coordinates.
+struct SortedField {
+  size_t ndims = 0;
+  int64_t size = 0;
+  std::unique_ptr<int64_t[]> pos;    // size * ndims, packed.
+  std::unique_ptr<double[]> values;  // One value per position.
+  std::vector<int64_t> row_starts;   // Each row's first position, then size.
+  array::Coordinates lo, hi;         // Bounds on every coordinate, per dim.
+
+  const int64_t* at(int64_t i) const {
+    return pos.get() + static_cast<size_t>(i) * ndims;
+  }
+  int64_t last(int64_t i) const { return at(i)[ndims - 1]; }
+};
+
+// Gathers, sorts and deduplicates `attr` over the array's occupied cells,
+// morsel-parallel at every step. The global index of a cell is its rank in
+// sorted-chunk order, then storage order; cells order by (position, global
+// index), and the first cell of each equal-position run keeps its value —
+// the occurrence a sequential first-wins insert in that order would keep.
+SortedField BuildSortedField(const array::Array& array, int attr,
+                             const ExecContext& context) {
+  SortedField field;
+  field.ndims = static_cast<size_t>(array.schema().num_dims());
+  const size_t ndims = field.ndims;
+  const int64_t grain = context.morsel_grain;
+  const MorselScheduler scheduler(context);
+  field.lo.assign(ndims, std::numeric_limits<int64_t>::max());
+  field.hi.assign(ndims, std::numeric_limits<int64_t>::min());
+
+  // Gather: every chunk copies into its fixed slice of flat arrays.
+  std::vector<const array::Chunk*> chunks;
+  std::vector<int64_t> offsets{0};
+  for (const array::Chunk* chunk : array.SortedChunks()) {
+    if (chunk->num_cells() == 0) continue;
+    chunks.push_back(chunk);
+    offsets.push_back(offsets.back() +
+                      static_cast<int64_t>(chunk->num_cells()));
+    for (size_t d = 0; d < ndims; ++d) {
+      field.lo[d] = std::min(field.lo[d], chunk->bbox_lo()[d]);
+      field.hi[d] = std::max(field.hi[d], chunk->bbox_hi()[d]);
+    }
+  }
+  const int64_t n = offsets.back();
+  const auto coords = std::make_unique_for_overwrite<int64_t[]>(
+      static_cast<size_t>(n) * ndims);
+  const auto values =
+      std::make_unique_for_overwrite<double[]>(static_cast<size_t>(n));
+  const auto cell = [&coords, ndims](int64_t i) {
+    return coords.get() + static_cast<size_t>(i) * ndims;
+  };
+  scheduler.Run(
+      CarveChunks(chunks, grain), [&](size_t, int64_t begin, int64_t end) {
+        for (int64_t c = begin; c < end; ++c) {
+          const array::Chunk& chunk = *chunks[static_cast<size_t>(c)];
+          const int64_t at = offsets[static_cast<size_t>(c)];
+          const auto& column = chunk.attr_column(static_cast<size_t>(attr));
+          std::copy(chunk.packed_coords().begin(),
+                    chunk.packed_coords().end(), cell(at));
+          std::copy(column.begin(), column.end(), values.get() + at);
+        }
+      });
+
+  // Order: (position, global index) is a strict total order.
+  const auto order = ParallelSort(
+      n,
+      [&cell, ndims](int64_t a, int64_t b) {
+        const int cmp = ComparePos(cell(a), cell(b), ndims);
+        return cmp != 0 ? cmp < 0 : a < b;
+      },
+      scheduler, grain);
+
+  // Dedup: keep the first index of each equal-position run.
+  const std::vector<int64_t> firsts = SelectIndices(
+      n,
+      [&](int64_t i) {
+        return i == 0 ||
+               ComparePos(cell(order[static_cast<size_t>(i - 1)]),
+                          cell(order[static_cast<size_t>(i)]), ndims) != 0;
+      },
+      scheduler, grain);
+  field.size = static_cast<int64_t>(firsts.size());
+  field.pos = std::make_unique_for_overwrite<int64_t[]>(
+      static_cast<size_t>(field.size) * ndims);
+  field.values = std::make_unique_for_overwrite<double[]>(
+      static_cast<size_t>(field.size));
+  scheduler.Run(
+      MorselScheduler::Carve(field.size, grain),
+      [&](size_t, int64_t begin, int64_t end) {
+        for (int64_t u = begin; u < end; ++u) {
+          const int64_t first = firsts[static_cast<size_t>(u)];
+          const int64_t src = order[static_cast<size_t>(first)];
+          std::copy(cell(src), cell(src) + ndims,
+                    field.pos.get() + static_cast<size_t>(u) * ndims);
+          field.values[static_cast<size_t>(u)] =
+              values[static_cast<size_t>(src)];
+        }
+      });
+
+  // Rows: where the first ndims - 1 coordinates change.
+  field.row_starts = SelectIndices(
+      field.size,
+      [&field, ndims](int64_t u) {
+        return u == 0 ||
+               ComparePos(field.at(u - 1), field.at(u), ndims - 1) != 0;
+      },
+      scheduler, grain);
+  field.row_starts.push_back(field.size);
+  return field;
+}
+
+// The window of Chebyshev `radius` around the cells of one row of a
+// SortedField. Start() finds the occupied neighbour rows — those whose
+// first ndims - 1 coordinates lie within the radius — by binary search
+// over the row starts, in ascending odd-base code order (dimension 0 the
+// fastest digit). Average() then advances one monotone cursor per
+// neighbour row along the last coordinate and sums the hits by ascending
+// last-coordinate offset, then neighbour order: exactly the ascending
+// odd-base code order of a probe per window cell, so every sum adds the
+// same values in the same order as such a probe loop would.
+class RowWindow {
+ public:
+  RowWindow(const SortedField& field, int64_t radius)
+      : field_(field),
+        radius_(radius),
+        probe_(field.ndims),
+        lo_(field.ndims),
+        hi_(field.ndims) {}
+
+  // Finds the neighbour rows of `pos`'s row and seeks each cursor to the
+  // first cell within the radius of pos's last coordinate.
+  void Start(const int64_t* pos) {
+    const size_t prefix = field_.ndims - 1;
+    rows_.clear();
+    for (size_t d = 0; d < prefix; ++d) {
+      // Rows outside the data's bounds cannot exist: clip the odometer.
+      lo_[d] = std::max(SaturatingSub(pos[d], radius_), field_.lo[d]);
+      hi_[d] = std::min(SaturatingAdd(pos[d], radius_), field_.hi[d]);
+      if (lo_[d] > hi_[d]) return;
+      probe_[d] = lo_[d];
+    }
+    const int64_t from = SaturatingSub(pos[prefix], radius_);
+    for (;;) {
+      const auto row = std::lower_bound(
+          field_.row_starts.begin(), field_.row_starts.end() - 1, 0,
+          [this, prefix](int64_t start, int) {
+            return ComparePos(field_.at(start), probe_.data(), prefix) < 0;
+          });
+      if (row != field_.row_starts.end() - 1 &&
+          ComparePos(field_.at(*row), probe_.data(), prefix) == 0) {
+        int64_t begin = *row;
+        int64_t end = *(row + 1);
+        while (begin < end) {  // First cell with last coordinate >= from.
+          const int64_t mid = begin + (end - begin) / 2;
+          if (field_.last(mid) < from) {
+            begin = mid + 1;
+          } else {
+            end = mid;
+          }
+        }
+        rows_.push_back({begin, *(row + 1)});
+      }
+      size_t d = 0;
+      for (; d < prefix && probe_[d] == hi_[d]; ++d) probe_[d] = lo_[d];
+      if (d == prefix) break;
+      ++probe_[d];
+    }
+  }
+
+  // Average over the occupied cells within the radius of (the row of the
+  // last Start, last coordinate x); 0 when there are none. Successive
+  // calls after one Start must pass non-decreasing x.
+  double Average(int64_t x) {
+    // Offsets along the last coordinate, clipped to the data's bounds: the
+    // span never exceeds 2 * radius + 1.
+    const size_t last_dim = field_.ndims - 1;
+    const int64_t from =
+        std::max(SaturatingSub(x, radius_), field_.lo[last_dim]);
+    const int64_t to = std::min(SaturatingAdd(x, radius_), field_.hi[last_dim]);
+    if (from > to || rows_.empty()) return 0.0;
+    const size_t num_rows = rows_.size();
+    const size_t slots = static_cast<size_t>(to - from + 1) * num_rows;
+    if (present_.size() < slots) {
+      present_.resize(slots, 0);
+      values_.resize(slots);
+    }
+    // Drop each neighbour row's hits into slot (offset, row): ascending
+    // slot order is then ascending odd-base code order.
+    const size_t stride = field_.ndims;
+    const int64_t* lasts = field_.pos.get() + last_dim;
+    for (size_t k = 0; k < num_rows; ++k) {
+      Row& row = rows_[k];
+      while (row.begin < row.end &&
+             lasts[static_cast<size_t>(row.begin) * stride] < from) {
+        ++row.begin;
+      }
+      for (int64_t c = row.begin; c < row.end; ++c) {
+        const int64_t v = lasts[static_cast<size_t>(c) * stride];
+        if (v > to) break;
+        const size_t slot = static_cast<size_t>(v - from) * num_rows + k;
+        present_[slot] = 1;
+        values_[slot] = field_.values[static_cast<size_t>(c)];
+      }
+    }
+    double sum = 0.0;
+    int64_t count = 0;
+    for (size_t slot = 0; slot < slots; ++slot) {
+      if (present_[slot] == 0) continue;
+      present_[slot] = 0;
+      // arraydb-lint: fixed-order -- hits add in ascending odd-base code
+      // order, the same for every grain and thread count.
+      sum += values_[slot];
+      ++count;
+    }
+    return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  }
+
+ private:
+  struct Row {
+    int64_t begin;  // Monotone cursor: first cell not below the window.
+    int64_t end;
+  };
+  const SortedField& field_;
+  const int64_t radius_;
+  array::Coordinates probe_;  // Odometer over the clipped row prefixes.
+  array::Coordinates lo_, hi_;
+  std::vector<Row> rows_;
+  // Slot buffer, (offset along the last coordinate, neighbour row); every
+  // slot is cleared again as the sum consumes it.
+  std::vector<uint8_t> present_;
+  std::vector<double> values_;
+};
 
 }  // namespace
 
@@ -406,8 +721,17 @@ util::StatusOr<double> WindowAverageAt(const array::Array& array, int attr,
     return util::InvalidArgument("attribute index out of range");
   }
   if (radius < 0) return util::InvalidArgument("negative radius");
-  const auto index = BuildValueIndex(array, attr);
-  return WindowAverageFromIndex(index, pos, radius);
+  const int ndims = array.schema().num_dims();
+  if (pos.size() != static_cast<size_t>(ndims)) {
+    return util::InvalidArgument("position rank does not match schema");
+  }
+  if (WindowVolume(radius, ndims) < 0) {
+    return util::InvalidArgument("window volume overflows int64");
+  }
+  const SortedField field = BuildSortedField(array, attr, ExecContext{});
+  RowWindow window(field, radius);
+  window.Start(pos.data());
+  return window.Average(pos.back());
 }
 
 std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
@@ -416,34 +740,32 @@ std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
   ARRAYDB_CHECK_GE(attr, 0);
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   ARRAYDB_CHECK_GE(radius, 0);
-  const auto index = BuildValueIndex(array, attr);
-  // Deterministic work list: the occupied positions, sorted. Each position
-  // probes the shared read-only index and writes exactly its own output
-  // slot, so the field needs no combine step and the output is already in
-  // its final order.
-  std::vector<array::Coordinates> positions;
-  positions.reserve(index.size());
-  // arraydb-lint: ordered-extract -- sorted on the next line.
-  for (const auto& [pos, value] : index) positions.push_back(pos);
-  std::sort(positions.begin(), positions.end(), array::CoordinatesLess);
-  std::vector<std::pair<array::Coordinates, double>> out(positions.size());
-  // A window probe costs (2r+1)^ndims index lookups per position, so the
-  // per-morsel position grain shrinks by the window volume (floored so tiny
-  // fields still form one morsel). Pure in (data, context): the carve — and
-  // with it the schedule-independent output — never depends on threads.
-  int64_t window = 1;
-  const int64_t span = 2 * radius + 1;
-  for (int d = 0; d < array.schema().num_dims(); ++d) window *= span;
-  const int64_t grain = std::max<int64_t>(
-      64, context.morsel_grain / std::max<int64_t>(1, window));
+  const int64_t volume = WindowVolume(radius, array.schema().num_dims());
+  ARRAYDB_CHECK_GT(volume, 0);
+  const SortedField field = BuildSortedField(array, attr, context);
+  std::vector<std::pair<array::Coordinates, double>> out(
+      static_cast<size_t>(field.size));
+  // A cell's sweep visits up to the window volume of neighbours, so the
+  // per-morsel cell grain shrinks by it (floored so tiny fields still form
+  // one morsel). Each morsel writes exactly its own output slots, already
+  // in sorted order; a morsel that starts mid-row seeks its cursors there.
+  const int64_t grain = std::max<int64_t>(64, context.morsel_grain / volume);
   const MorselScheduler scheduler(context);
   scheduler.Run(
-      MorselScheduler::Carve(static_cast<int64_t>(positions.size()), grain),
+      MorselScheduler::Carve(field.size, grain),
       [&](size_t, int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const auto& pos = positions[static_cast<size_t>(i)];
-          out[static_cast<size_t>(i)] = {
-              pos, WindowAverageFromIndex(index, pos, radius)};
+        RowWindow window(field, radius);
+        auto row = std::upper_bound(field.row_starts.begin(),
+                                    field.row_starts.end(), begin) - 1;
+        for (int64_t i = begin; i < end; ++row) {
+          const int64_t row_end = std::min(end, *(row + 1));
+          window.Start(field.at(i));
+          for (; i < row_end; ++i) {
+            const int64_t* pos = field.at(i);
+            out[static_cast<size_t>(i)] = {
+                array::Coordinates(pos, pos + field.ndims),
+                window.Average(field.last(i))};
+          }
         }
       });
   return out;

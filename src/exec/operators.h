@@ -115,15 +115,34 @@ std::map<array::Coordinates, double> GroupBySum(
     const array::Array& array, const std::vector<int64_t>& bin, int attr,
     const ExecContext& context = {});
 
-/// Complex projection benchmark: windowed average of `attr` in a Chebyshev
-/// radius around `pos` (partially overlapping windows yield smooth images).
+/// Complex projection benchmark: windowed average of `attr` over the
+/// occupied cells within Chebyshev `radius` of `pos` (partially overlapping
+/// windows yield smooth images); 0 when the window holds no cell. A
+/// position stored more than once counts once, with the value of its first
+/// occurrence in sorted-chunk, then storage, order. The window's cells add
+/// in odd-base counter order over the offsets (dimension 0 the fastest
+/// digit), so the sum is a pure function of the data. `pos` need not be
+/// occupied. InvalidArgument for a bad attribute, a negative radius, a
+/// position of the wrong rank, or a window volume (2r+1)^ndims that
+/// overflows int64. Runs the same sort-and-sweep as WindowAverageAll,
+/// sequentially: O(N log N) for N stored cells.
 util::StatusOr<double> WindowAverageAt(const array::Array& array, int attr,
                                        const array::Coordinates& pos,
                                        int64_t radius);
 
-/// Windowed average at every occupied cell; sorted by position. Positions
-/// are enumerated deterministically and each output slot is computed by
-/// exactly one morsel, so the field is thread-count invariant.
+/// Windowed average at every occupied position, sorted by position: one
+/// entry per distinct position, with WindowAverageAt's duplicate rule and
+/// sum order, so every entry equals WindowAverageAt at that position bit
+/// for bit. No hashing: the cells are gathered, sorted by (position,
+/// global index) and deduplicated, then each row (positions sharing all
+/// but the last coordinate) sweeps its occupied neighbour rows with one
+/// monotone cursor each. Cost: O(N log N) for the sort; per row, one
+/// binary search per neighbour row prefix; per position, the window's
+/// extent along the last coordinate (clipped to the data) times its
+/// occupied neighbour rows. Every step is morsel-parallel and each output
+/// slot is written by exactly one morsel, so the field is bit-identical
+/// at every thread count and grain. The window volume must fit in int64
+/// (CHECKed).
 std::vector<std::pair<array::Coordinates, double>> WindowAverageAll(
     const array::Array& array, int attr, int64_t radius,
     const ExecContext& context = {});

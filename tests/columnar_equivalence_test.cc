@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -90,34 +92,50 @@ int64_t ReferenceAttrJoinCount(const Array& a, int attr,
   return matches;
 }
 
-// Mirrors the operator's window enumeration order so sums agree bit-exactly.
-std::vector<std::pair<Coordinates, double>> ReferenceWindowAverageAll(
-    const Array& a, int attr, int64_t radius) {
-  std::unordered_map<Coordinates, double, array::CoordinatesHash> index;
+using ValueIndex =
+    std::unordered_map<Coordinates, double, array::CoordinatesHash>;
+
+// Position -> value, the first occurrence in AllCells() order winning.
+ValueIndex ReferenceValueIndex(const Array& a, int attr) {
+  ValueIndex index;
   for (const auto& cell : a.AllCells()) {
     index.emplace(cell.pos, cell.values[static_cast<size_t>(attr)]);
   }
-  std::vector<std::pair<Coordinates, double>> out;
+  return index;
+}
+
+// One probe per window cell in odd-base counter order (dimension 0 the
+// fastest digit), the enumeration the operator's sums must reproduce.
+double ReferenceWindowAt(const ValueIndex& index, const Coordinates& pos,
+                         int64_t radius) {
   const int64_t span = 2 * radius + 1;
-  for (const auto& [pos, unused] : index) {
-    int64_t total = 1;
-    for (size_t d = 0; d < pos.size(); ++d) total *= span;
-    double sum = 0.0;
-    int64_t count = 0;
-    Coordinates probe(pos.size());
-    for (int64_t code = 0; code < total; ++code) {
-      int64_t rest = code;
-      for (size_t d = 0; d < pos.size(); ++d) {
-        probe[d] = pos[d] + (rest % span) - radius;
-        rest /= span;
-      }
-      const auto it = index.find(probe);
-      if (it != index.end()) {
-        sum += it->second;
-        ++count;
-      }
+  int64_t total = 1;
+  for (size_t d = 0; d < pos.size(); ++d) total *= span;
+  double sum = 0.0;
+  int64_t count = 0;
+  Coordinates probe(pos.size());
+  for (int64_t code = 0; code < total; ++code) {
+    int64_t rest = code;
+    for (size_t d = 0; d < pos.size(); ++d) {
+      probe[d] = pos[d] + (rest % span) - radius;
+      rest /= span;
     }
-    out.emplace_back(pos, count > 0 ? sum / static_cast<double>(count) : 0.0);
+    const auto it = index.find(probe);
+    if (it != index.end()) {
+      sum += it->second;
+      ++count;
+    }
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+}
+
+// Mirrors the operator's window enumeration order so sums agree bit-exactly.
+std::vector<std::pair<Coordinates, double>> ReferenceWindowAverageAll(
+    const Array& a, int attr, int64_t radius) {
+  const ValueIndex index = ReferenceValueIndex(a, attr);
+  std::vector<std::pair<Coordinates, double>> out;
+  for (const auto& [pos, unused] : index) {
+    out.emplace_back(pos, ReferenceWindowAt(index, pos, radius));
   }
   std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
     return array::CoordinatesLess(x.first, y.first);
@@ -257,6 +275,177 @@ TEST_F(ColumnarEquivalenceTest, WindowAverageMatchesReference) {
     ASSERT_TRUE(at.ok());
     EXPECT_EQ(*at, got[i].second);
   }
+}
+
+// -- Window edge cases, each bit-exact against the reference ---------------
+
+// A rank-`ndims` array over [lo, hi] per dimension, chunked every
+// `interval` cells, with one double attribute.
+Array MakeWindowArray(int ndims, int64_t lo, int64_t hi, int64_t interval) {
+  std::vector<array::DimensionDesc> dims;
+  for (int d = 0; d < ndims; ++d) {
+    dims.push_back(array::DimensionDesc{
+        std::string(1, static_cast<char>('a' + d)), lo, hi, interval, false});
+  }
+  return Array(array::ArraySchema(
+      "w", dims, {array::AttributeDesc{"v", array::AttrType::kDouble}}));
+}
+
+// Values whose sums round differently under reassociation, so an
+// out-of-order sum shows up in the last bits.
+double EdgeValue(int64_t k) {
+  return 1.0 / static_cast<double>(k + 3) + 0.1 * static_cast<double>(k % 7);
+}
+
+// Inserts every position of the box [lo, hi]^ndims whose odometer index k
+// satisfies keep(k), with value EdgeValue(k).
+template <typename Keep>
+void FillBox(Array& a, int64_t lo, int64_t hi, Keep keep) {
+  const size_t ndims = static_cast<size_t>(a.schema().num_dims());
+  Coordinates pos(ndims, lo);
+  for (int64_t k = 0;; ++k) {
+    if (keep(k)) {
+      ASSERT_TRUE(a.InsertCell(pos, {EdgeValue(k)}).ok());
+    }
+    size_t d = 0;
+    for (; d < ndims && pos[d] == hi; ++d) pos[d] = lo;
+    if (d == ndims) break;
+    ++pos[d];
+  }
+}
+
+// WindowAverageAll at several thread counts and grains, and WindowAverageAt
+// at every occupied position, all bit-identical to the reference.
+void ExpectWindowMatchesReference(const Array& a, int64_t radius) {
+  const auto want = ReferenceWindowAverageAll(a, 0, radius);
+  for (const int threads : {1, 0}) {
+    for (const int64_t grain : {int64_t{1}, int64_t{16384}}) {
+      ExecContext context;
+      context.data_plane_threads = threads;
+      context.morsel_grain = grain;
+      const auto got = WindowAverageAll(a, 0, radius, context);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first) << "pos " << i;
+        EXPECT_EQ(got[i].second, want[i].second)
+            << "pos " << i << " threads=" << threads << " grain=" << grain;
+      }
+    }
+  }
+  for (const auto& [pos, value] : want) {
+    const auto at = WindowAverageAt(a, 0, pos, radius);
+    ASSERT_TRUE(at.ok());
+    EXPECT_EQ(*at, value);
+  }
+}
+
+TEST(WindowEdgeCaseTest, DuplicatePositionsKeepTheFirstValue) {
+  Array a = MakeWindowArray(2, 0, 7, 4);
+  FillBox(a, 0, 7, [](int64_t k) { return k % 3 != 0; });
+  // (3, 0) is empty until inserted twice; (0, 1) and (5, 6) are already
+  // occupied, in two different chunks.
+  ASSERT_TRUE(a.InsertCell({3, 0}, {1.5}).ok());
+  ASSERT_TRUE(a.InsertCell({3, 0}, {7.25}).ok());
+  ASSERT_TRUE(a.InsertCell({0, 1}, {99.0}).ok());
+  ASSERT_TRUE(a.InsertCell({5, 6}, {-3.0}).ok());
+  const ValueIndex firsts = ReferenceValueIndex(a, 0);
+  const auto field = WindowAverageAll(a, 0, /*radius=*/0);
+  ASSERT_EQ(field.size(), firsts.size());
+  for (const auto& [pos, value] : field) EXPECT_EQ(value, firsts.at(pos));
+  EXPECT_EQ(*WindowAverageAt(a, 0, {3, 0}, 0), 1.5);
+  EXPECT_EQ(*WindowAverageAt(a, 0, {0, 1}, 0), EdgeValue(8));
+  EXPECT_EQ(*WindowAverageAt(a, 0, {5, 6}, 0), EdgeValue(53));
+  ExpectWindowMatchesReference(a, 1);
+  ExpectWindowMatchesReference(a, 2);
+}
+
+TEST(WindowEdgeCaseTest, RankOneAndRankFour) {
+  Array line = MakeWindowArray(1, 0, 199, 16);
+  FillBox(line, 0, 199, [](int64_t k) { return k % 5 != 2 && k % 7 != 0; });
+  ExpectWindowMatchesReference(line, 0);
+  ExpectWindowMatchesReference(line, 3);
+  Array hyper = MakeWindowArray(4, 0, 4, 2);
+  FillBox(hyper, 0, 4, [](int64_t k) { return (k * 7) % 10 < 6; });
+  ExpectWindowMatchesReference(hyper, 1);
+}
+
+TEST(WindowEdgeCaseTest, RadiusZeroAndRadiusBeyondTheExtent) {
+  Array a = MakeWindowArray(2, 0, 5, 2);
+  FillBox(a, 0, 5, [](int64_t k) { return k % 4 != 1; });
+  ExpectWindowMatchesReference(a, 0);
+  ExpectWindowMatchesReference(a, 5);
+  ExpectWindowMatchesReference(a, 9);
+  // Rank 1: a window covering everything visits the cells in ascending
+  // position from any centre, so a radius far beyond what the reference
+  // can enumerate still agrees with one at the extent.
+  Array line = MakeWindowArray(1, 0, 40, 8);
+  FillBox(line, 0, 40, [](int64_t k) { return k % 3 != 0; });
+  const auto want = ReferenceWindowAverageAll(line, 0, 40);
+  for (const auto& [pos, value] : want) {
+    EXPECT_EQ(*WindowAverageAt(line, 0, pos, int64_t{1} << 40), value);
+  }
+}
+
+TEST(WindowEdgeCaseTest, NegativeCoordinates) {
+  Array a = MakeWindowArray(3, -6, 2, 3);
+  FillBox(a, -6, 2, [](int64_t k) { return (k * 11) % 13 < 8; });
+  ExpectWindowMatchesReference(a, 1);
+  ExpectWindowMatchesReference(a, 2);
+}
+
+TEST(WindowEdgeCaseTest, OneCellPerRow) {
+  Array a = MakeWindowArray(3, 0, 10, 4);
+  for (int64_t x = 0; x <= 10; ++x) {
+    for (int64_t y = 0; y <= 10; ++y) {
+      ASSERT_TRUE(
+          a.InsertCell({x, y, (7 * x + 3 * y) % 11}, {EdgeValue(11 * x + y)})
+              .ok());
+    }
+  }
+  ExpectWindowMatchesReference(a, 1);
+  ExpectWindowMatchesReference(a, 3);
+}
+
+TEST(WindowEdgeCaseTest, EmptyArrayGivesAnEmptyField) {
+  const Array a = MakeWindowArray(2, 0, 7, 4);
+  EXPECT_TRUE(WindowAverageAll(a, 0, 1).empty());
+  const auto at = WindowAverageAt(a, 0, {3, 3}, 1);
+  ASSERT_TRUE(at.ok());
+  EXPECT_EQ(*at, 0.0);
+}
+
+TEST(WindowEdgeCaseTest, AverageAtAnUnoccupiedPosition) {
+  Array a = MakeWindowArray(2, -4, 9, 4);
+  FillBox(a, -4, 9, [](int64_t k) { return k % 5 != 0 && k % 9 != 4; });
+  const ValueIndex index = ReferenceValueIndex(a, 0);
+  int probes = 0;
+  for (int64_t x = -6; x <= 11; ++x) {
+    for (int64_t y = -6; y <= 11; ++y) {
+      const Coordinates pos{x, y};
+      if (index.contains(pos)) continue;
+      ++probes;
+      for (const int64_t radius : {0, 1, 2}) {
+        const auto at = WindowAverageAt(a, 0, pos, radius);
+        ASSERT_TRUE(at.ok());
+        EXPECT_EQ(*at, ReferenceWindowAt(index, pos, radius))
+            << x << "," << y << " r=" << radius;
+      }
+    }
+  }
+  EXPECT_GT(probes, 100);
+  // Windows at the ends of the coordinate space clamp instead of
+  // overflowing.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const Coordinates& pos : {Coordinates{kMin, kMin}, Coordinates{kMax, 0},
+                                 Coordinates{0, kMax}}) {
+    const auto at = WindowAverageAt(a, 0, pos, 3);
+    ASSERT_TRUE(at.ok());
+    EXPECT_EQ(*at, 0.0);
+  }
+  const auto wide = WindowAverageAt(a, 0, {kMax, kMin}, int64_t{1} << 30);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(*wide, 0.0);
 }
 
 TEST_F(ColumnarEquivalenceTest, RegridMatchesReferenceAccumulation) {

@@ -130,6 +130,40 @@ TEST_F(MorselInvarianceTest, WindowAverageAllInvariant) {
       }
     }
   }
+  // A copy of the band with every seventh cell inserted again under a
+  // different value: the duplicates sort next to their first occurrence
+  // across morsel boundaries, and the first must win at every setting.
+  Array duplicated(modis_.schema());
+  const auto cells = modis_.AllCells();
+  for (const auto& cell : cells) {
+    ASSERT_TRUE(duplicated.InsertCell(cell.pos, cell.values).ok());
+  }
+  for (size_t i = 0; i < cells.size(); i += 7) {
+    std::vector<double> values = cells[i].values;
+    values[1] += 1000.0;
+    ASSERT_TRUE(duplicated.InsertCell(cells[i].pos, values).ok());
+  }
+  for (const Array* array : {&modis_, &duplicated}) {
+    for (const int64_t radius : {int64_t{1}, int64_t{2}}) {
+      const auto base = WindowAverageAll(*array, 1, radius, Opts(1, 192));
+      for (const int threads : ThreadCounts()) {
+        for (const int64_t grain : {int64_t{192}, int64_t{16384}}) {
+          const auto got =
+              WindowAverageAll(*array, 1, radius, Opts(threads, grain));
+          ASSERT_EQ(got.size(), base.size());
+          for (size_t i = 0; i < base.size(); ++i) {
+            EXPECT_EQ(got[i].first, base[i].first);
+            EXPECT_EQ(got[i].second, base[i].second)
+                << "radius=" << radius << " threads=" << threads
+                << " grain=" << grain << " pos " << i;
+          }
+        }
+      }
+    }
+  }
+  // The duplicates collapse to one entry per position, with the field of
+  // the duplicate-free band.
+  EXPECT_EQ(WindowAverageAll(duplicated, 1, 1, Opts(0, 192)), want);
 }
 
 TEST_F(MorselInvarianceTest, KnnAverageDistanceInvariant) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "array/array.h"
@@ -267,6 +268,31 @@ TEST(WindowTest, RadiusZeroIsIdentity) {
   const auto avg = WindowAverageAt(a, 0, {5, 2}, 0);
   ASSERT_TRUE(avg.ok());
   EXPECT_DOUBLE_EQ(*avg, 52.0);
+}
+
+TEST(WindowTest, OverflowingWindowVolumeIsInvalidArgument) {
+  const Array a = MakeGridArray();
+  // (2r+1)^2 no longer fits in int64 for either radius.
+  for (const int64_t radius : {int64_t{3'037'000'500},
+                               std::numeric_limits<int64_t>::max()}) {
+    const auto avg = WindowAverageAt(a, 0, {3, 3}, radius);
+    EXPECT_FALSE(avg.ok()) << radius;
+    EXPECT_EQ(avg.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  // The largest radius whose volume fits covers the whole grid.
+  const auto all = WindowAverageAt(a, 0, {3, 3}, 1'518'500'249);
+  ASSERT_TRUE(all.ok());
+  EXPECT_NEAR(*all, 38.5, 1e-9);
+  EXPECT_DEATH(WindowAverageAll(a, 0, std::numeric_limits<int64_t>::max()),
+               "CHECK");
+}
+
+TEST(WindowTest, PositionRankMismatchIsInvalidArgument) {
+  const Array a = MakeGridArray();
+  EXPECT_EQ(WindowAverageAt(a, 0, {3}, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(WindowAverageAt(a, 0, {3, 3, 3}, 1).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(WindowTest, AllCellsProducesSmoothField) {
