@@ -45,12 +45,19 @@ whether that floor gate was ``exercised`` or ``vacuous`` on this machine
 (quoting the file's ``hardware_threads`` when present), so a CI log shows
 which gates actually bit. These lines are informational only.
 
-Refresh a baseline by copying the freshly emitted file over
-``bench/baselines/`` and committing it alongside the change that moved it.
+Refresh baselines with ``--refresh``: every fresh file that has a
+same-named baseline is copied over it, to be committed alongside the change
+that moved it. Put only the files to refresh in the fresh directory. The
+refresh is all or nothing, and it refuses a file whose run left a floor
+gate vacuous (any ``*_gate_vacuous`` key set: the machine had too few
+threads to measure the gated ratio) or whose ``floor_*`` / ``ceiling_*``
+keys differ from the baseline's (a refresh records new measurements; it
+never moves a gate).
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -153,6 +160,44 @@ def check_metrics(name: str, base: dict, fresh: dict, tol: float) -> list:
     return failures
 
 
+def refresh_refusals(name: str, base: dict, fresh: dict) -> list:
+    refusals = [
+        f"{name}: gate '{key[:-len('_gate_vacuous')]}' was vacuous in the "
+        f"fresh run" for key, value in sorted(fresh.items())
+        if key.endswith("_gate_vacuous") and value
+    ]
+    bounds = sorted(key for key in set(base) | set(fresh)
+                    if key.startswith(("floor_", "ceiling_")))
+    refusals += [
+        f"{name}: '{key}' would change ({base.get(key)} -> {fresh.get(key)})"
+        for key in bounds if base.get(key) != fresh.get(key)
+    ]
+    return refusals
+
+
+def refresh(baseline_dir: Path, fresh_dir: Path) -> int:
+    pairs = [(fresh_path, baseline_dir / fresh_path.name)
+             for fresh_path in sorted(fresh_dir.glob("BENCH_*.json"))
+             if (baseline_dir / fresh_path.name).exists()]
+    if not pairs:
+        print(f"error: no fresh BENCH_*.json in {fresh_dir} has a baseline "
+              f"in {baseline_dir}")
+        return 2
+    refusals = []
+    for fresh_path, baseline_path in pairs:
+        refusals += refresh_refusals(fresh_path.name, load(baseline_path),
+                                     load(fresh_path))
+    if refusals:
+        print(f"refused: {len(refusals)} problem(s), no baseline written:")
+        for r in refusals:
+            print(f"  REFUSE {r}")
+        return 1
+    for fresh_path, baseline_path in pairs:
+        shutil.copyfile(fresh_path, baseline_path)
+        print(f"refreshed {baseline_path}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", type=Path, required=True)
@@ -165,7 +210,14 @@ def main() -> int:
         "--entries-tolerance", type=float, default=1.00,
         help="allowed machine-normalized regression of wall-clock "
              "ns_per_op entries (default 1.00 = 100%%; these are noisy)")
+    parser.add_argument(
+        "--refresh", action="store_true",
+        help="copy each fresh file over its same-named baseline instead of "
+             "checking (refuses vacuous gates and moved floors/ceilings)")
     args = parser.parse_args()
+
+    if args.refresh:
+        return refresh(args.baseline_dir, args.fresh_dir)
 
     baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
     if not baselines:

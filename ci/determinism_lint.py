@@ -13,10 +13,10 @@ Rules (all scoped to ``src/``; ``tests/`` and ``bench/`` are not linted):
   R1 unordered-iteration
       No range-for / iterator traversal of ``std::unordered_map`` /
       ``std::unordered_set`` (directly, through a type alias, or through an
-      accessor declared to return one — e.g. ``array.chunks()``). Hash
-      iteration order is libstdc++-, seed-, and history-dependent; anything
-      it feeds (merges, first-wins inserts, emitted sequences) silently
-      becomes order-dependent. Waivers:
+      accessor declared to return one). Hash iteration order is
+      libstdc++-, seed-, and history-dependent; anything it feeds (merges,
+      first-wins inserts, emitted sequences) silently becomes
+      order-dependent. Waivers:
         ``// arraydb-lint: ordered-extract``    the loop only copies into a
                                                 container that is sorted (or
                                                 is a sorted container) before

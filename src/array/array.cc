@@ -7,8 +7,44 @@
 
 namespace arraydb::array {
 
+namespace {
+
+bool ChunkLess(const Chunk* a, const Chunk* b) {
+  return CoordinatesLess(a->coords(), b->coords());
+}
+
+}  // namespace
+
 Array::Array(ArraySchema schema) : schema_(std::move(schema)) {
   ARRAYDB_CHECK(schema_.Validate().ok());
+}
+
+Array::Array(const Array& other)
+    : schema_(other.schema_),
+      chunks_(other.chunks_),
+      total_cells_(other.total_cells_),
+      total_bytes_(other.total_bytes_) {
+  // The source's directory already holds the order; re-point each entry at
+  // this copy's node for the same coordinates.
+  sorted_.reserve(other.sorted_.size());
+  for (const Chunk* chunk : other.sorted_) {
+    sorted_.push_back(&chunks_.find(chunk->coords())->second);
+  }
+}
+
+Array& Array::operator=(const Array& other) {
+  if (this != &other) *this = Array(other);
+  return *this;
+}
+
+void Array::AddToDirectory(const Chunk* chunk) {
+  if (sorted_.empty() || ChunkLess(sorted_.back(), chunk)) {
+    sorted_.push_back(chunk);
+    return;
+  }
+  sorted_.insert(
+      std::upper_bound(sorted_.begin(), sorted_.end(), chunk, ChunkLess),
+      chunk);
 }
 
 util::Status Array::InsertCell(const Coordinates& pos,
@@ -26,8 +62,8 @@ util::Status Array::InsertCell(const Coordinates& pos,
     }
   }
   const Coordinates cc = schema_.ChunkOf(pos);
-  auto [it, inserted] = chunks_.try_emplace(cc, Chunk(cc));
-  (void)inserted;
+  const auto [it, inserted] = chunks_.try_emplace(cc, cc);
+  if (inserted) AddToDirectory(&it->second);
   it->second.AppendCell(pos, values, schema_.BytesPerCell());
   total_cells_ += 1;
   total_bytes_ += schema_.BytesPerCell();
@@ -39,13 +75,13 @@ util::Status Array::AddSyntheticChunk(const ChunkInfo& info) {
     return util::OutOfRange("chunk outside declared grid: " +
                             CoordinatesToString(info.coords));
   }
-  if (chunks_.contains(info.coords)) {
+  const auto [it, inserted] = chunks_.try_emplace(info.coords, info.coords);
+  if (!inserted) {
     return util::AlreadyExists("chunk exists (no-overwrite storage): " +
                                CoordinatesToString(info.coords));
   }
-  Chunk chunk(info.coords);
-  chunk.SetSyntheticSize(info.cell_count, info.bytes);
-  chunks_.emplace(info.coords, std::move(chunk));
+  it->second.SetSyntheticSize(info.cell_count, info.bytes);
+  AddToDirectory(&it->second);
   total_cells_ += info.cell_count;
   total_bytes_ += info.bytes;
   return util::Status::Ok();
@@ -58,31 +94,15 @@ const Chunk* Array::FindChunk(const Coordinates& chunk_coords) const {
 
 std::vector<ChunkInfo> Array::ChunkInfos() const {
   std::vector<ChunkInfo> out;
-  out.reserve(chunks_.size());
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
-  for (const auto& [coords, chunk] : chunks_) out.push_back(chunk.info());
-  std::sort(out.begin(), out.end(),
-            [](const ChunkInfo& a, const ChunkInfo& b) {
-              return CoordinatesLess(a.coords, b.coords);
-            });
-  return out;
-}
-
-std::vector<const Chunk*> Array::SortedChunks() const {
-  std::vector<const Chunk*> out;
-  out.reserve(chunks_.size());
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
-  for (const auto& [coords, chunk] : chunks_) out.push_back(&chunk);
-  std::sort(out.begin(), out.end(), [](const Chunk* a, const Chunk* b) {
-    return CoordinatesLess(a->coords(), b->coords());
-  });
+  out.reserve(sorted_.size());
+  for (const Chunk* chunk : sorted_) out.push_back(chunk->info());
   return out;
 }
 
 std::vector<Cell> Array::AllCells() const {
   std::vector<Cell> out;
   out.reserve(static_cast<size_t>(total_cells_));
-  for (const Chunk* chunk : SortedChunks()) {
+  for (const Chunk* chunk : sorted_) {
     for (size_t i = 0; i < chunk->num_cells(); ++i) {
       out.push_back(chunk->MaterializeCell(i));
     }

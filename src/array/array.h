@@ -1,6 +1,11 @@
 // An Array is a schema plus a sparse collection of non-empty chunks keyed by
 // chunk-grid coordinates. Only non-empty cells are stored, so the on-disk
 // footprint is a function of cell counts, not the declared array size (§2).
+//
+// Beside the chunk map, the array keeps a chunk directory: pointers to every
+// chunk in lexicographic chunk-coordinate order, maintained on write. Readers
+// (operators, serving sessions, morsel workers) only read it, so any number
+// of them may share one array while no writer runs.
 
 #ifndef ARRAYDB_ARRAY_ARRAY_H_
 #define ARRAYDB_ARRAY_ARRAY_H_
@@ -20,10 +25,18 @@ class Array {
  public:
   explicit Array(ArraySchema schema);
 
+  /// Copies rebuild the chunk directory against the copy's own chunks.
+  Array(const Array& other);
+  Array& operator=(const Array& other);
+  /// Moves keep the map's nodes, so the directory moves with them.
+  Array(Array&&) = default;
+  Array& operator=(Array&&) = default;
+
   const ArraySchema& schema() const { return schema_; }
 
   /// Inserts a materialized cell at logical position `pos`; routes it into
-  /// the owning chunk (creating the chunk if needed).
+  /// the owning chunk (creating the chunk, and its directory entry, if
+  /// needed).
   util::Status InsertCell(const Coordinates& pos, std::vector<double> values);
 
   /// Registers a synthetic chunk with only metadata (paper-scale mode).
@@ -41,23 +54,27 @@ class Array {
   /// Chunk metadata in deterministic (lexicographic) order.
   std::vector<ChunkInfo> ChunkInfos() const;
 
-  /// Pointers to all chunks in deterministic (lexicographic coordinate)
-  /// order, for operators that must produce order-stable output.
-  std::vector<const Chunk*> SortedChunks() const;
+  /// The chunk directory: pointers to all chunks (empty synthetic ones
+  /// included) in lexicographic chunk-coordinate order, for operators that
+  /// must produce order-stable output. Maintained on write, not per call:
+  /// a new chunk is appended when it sorts last (time-ordered ingest) and
+  /// otherwise inserted at its place, O(C) in the worst case. The reference
+  /// stays valid, and its order current, across later writes; the pointers
+  /// stay valid until the array is destroyed (a moved-to array takes them
+  /// over; a copy gets its own).
+  const std::vector<const Chunk*>& SortedChunks() const { return sorted_; }
 
   /// All materialized cells (test/example scale only), in deterministic
   /// order: chunks by coordinates, cells in insertion order within a chunk.
   std::vector<Cell> AllCells() const;
 
-  /// Direct access to the chunk map for operators.
-  const std::unordered_map<Coordinates, Chunk, CoordinatesHash>& chunks()
-      const {
-    return chunks_;
-  }
-
  private:
+  /// Adds a newly created chunk to the directory at its sorted position.
+  void AddToDirectory(const Chunk* chunk);
+
   ArraySchema schema_;
   std::unordered_map<Coordinates, Chunk, CoordinatesHash> chunks_;
+  std::vector<const Chunk*> sorted_;  // Points into chunks_' nodes.
   int64_t total_cells_ = 0;
   int64_t total_bytes_ = 0;
 };

@@ -30,6 +30,7 @@ void Chunk::AppendCell(const Coordinates& pos,
     }
   }
   coords_.insert(coords_.end(), pos.begin(), pos.end());
+  ++num_cells_;
   for (size_t a = 0; a < values.size(); ++a) attrs_[a].push_back(values[a]);
   info_.cell_count += 1;
   info_.bytes += bytes_per_cell;

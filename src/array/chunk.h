@@ -72,9 +72,7 @@ class Chunk {
   // -- Columnar access ------------------------------------------------------
 
   /// Number of materialized cells (0 for synthetic chunks).
-  size_t num_cells() const {
-    return num_dims() == 0 ? 0 : coords_.size() / num_dims();
-  }
+  size_t num_cells() const { return num_cells_; }
 
   /// Rank of stored positions (the chunk-grid rank).
   size_t num_dims() const { return info_.coords.size(); }
@@ -108,6 +106,9 @@ class Chunk {
 
  private:
   ChunkInfo info_;
+  // Kept beside the columns so the per-chunk walks of every operator read
+  // it without dividing the packed length by the rank.
+  size_t num_cells_ = 0;
   std::vector<int64_t> coords_;            // num_cells * num_dims, packed.
   std::vector<std::vector<double>> attrs_; // One column per attribute.
   Coordinates bbox_lo_;

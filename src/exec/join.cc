@@ -146,19 +146,16 @@ int64_t DimJoinCountBySet(const array::Array& a, const array::Array& b) {
     const int64_t* pos = chunk.cell_pos(i);
     scratch.assign(pos, pos + chunk.num_dims());
   };
-  // arraydb-lint: order-insensitive -- set insertion is commutative.
-  for (const auto& [coords, chunk] : build.chunks()) {
-    for (size_t i = 0; i < chunk.num_cells(); ++i) {
-      load_pos(chunk, i);
+  for (const array::Chunk* chunk : build.SortedChunks()) {
+    for (size_t i = 0; i < chunk->num_cells(); ++i) {
+      load_pos(*chunk, i);
       positions.insert(scratch);
     }
   }
   int64_t matches = 0;
-  // arraydb-lint: order-insensitive -- exact integer count of membership
-  // hits; no visit-order dependence.
-  for (const auto& [coords, chunk] : probe.chunks()) {
-    for (size_t i = 0; i < chunk.num_cells(); ++i) {
-      load_pos(chunk, i);
+  for (const array::Chunk* chunk : probe.SortedChunks()) {
+    for (size_t i = 0; i < chunk->num_cells(); ++i) {
+      load_pos(*chunk, i);
       if (positions.contains(scratch)) ++matches;
     }
   }

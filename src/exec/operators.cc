@@ -34,21 +34,112 @@ bool CellBox::Intersects(const array::Coordinates& box_lo,
 
 namespace {
 
-// The morsel pre-filter shared by the box operators: sorted non-empty
-// chunks whose maintained bounding boxes (at least as tight as the schema
-// extents) intersect the query box, batch-checked in one SIMD kernel call
-// over a dim-major SoA.
+// Chunk-grid index of `cell` on `dim`, for a cell inside the dimension's
+// stored range ([lo, hi], or [lo, int64 max] when unbounded). The offset
+// is taken in uint64, so no int64 extreme overflows; it equals
+// DimensionDesc::ChunkIndexOf wherever that is defined.
+int64_t StoredChunkIndex(const array::DimensionDesc& dim, int64_t cell) {
+  const uint64_t offset =
+      static_cast<uint64_t>(cell) - static_cast<uint64_t>(dim.lo);
+  return static_cast<int64_t>(
+      std::min<uint64_t>(offset / static_cast<uint64_t>(dim.chunk_interval),
+                         std::numeric_limits<int64_t>::max()));
+}
+
+// First directory index at or after `from` whose coordinates are not less
+// than `key`, by galloping from `from`: O(log distance), so a run of jumps
+// never costs more than one linear pass.
+size_t GallopLowerBound(const std::vector<const array::Chunk*>& dir,
+                        size_t from, const array::Coordinates& key) {
+  const auto before_key = [&key](const array::Chunk* chunk) {
+    return array::CoordinatesLess(chunk->coords(), key);
+  };
+  if (from >= dir.size() || !before_key(dir[from])) return from;
+  size_t below = from;  // dir[below] is before the key.
+  size_t step = 1;
+  while (below + step < dir.size() && before_key(dir[below + step])) {
+    below += step;
+    step *= 2;
+  }
+  const auto first = dir.begin() + static_cast<std::ptrdiff_t>(below + 1);
+  const auto last = dir.begin() + static_cast<std::ptrdiff_t>(
+                                      std::min(below + step, dir.size()));
+  return static_cast<size_t>(
+      std::partition_point(first, last, before_key) - dir.begin());
+}
+
+// The morsel pre-filter shared by the box operators: the non-empty chunks,
+// in directory order, whose bounding boxes intersect the query box.
+//
+// Broad phase: every stored cell is routed by ChunkOf, so a chunk's cells
+// lie inside its grid cell, and only chunks whose coordinates fall in the
+// box's chunk-coordinate range [clo, chi] can intersect it. A skip-scan
+// walks the sorted directory from lower_bound(clo); at a chunk outside the
+// range on dimension d it jumps to the least key after it that can be
+// inside — raise d to clo[d], or, past chi[d], advance the deepest earlier
+// dimension with room and reset the rest to clo. Cost: O(runs · log C +
+// candidates). The candidates then take the exact bbox test in one SIMD
+// kernel call over a dim-major SoA; they are a superset of the survivors,
+// so the survivor list and its order are those of a full bbox sweep.
 std::vector<const array::Chunk*> BBoxSurvivors(const array::Array& array,
                                                const CellBox& box) {
   const size_t ndims = box.lo.size();
   ARRAYDB_CHECK_EQ(box.hi.size(), ndims);
+  const std::vector<const array::Chunk*>& dir = array.SortedChunks();
+  const std::vector<array::DimensionDesc>& dims = array.schema().dims();
+  if (ndims != dims.size()) {
+    // A box of the wrong rank is a caller bug once there is data to test.
+    for (const array::Chunk* chunk : dir) {
+      if (chunk->num_cells() != 0) {
+        ARRAYDB_CHECK_EQ(chunk->bbox_lo().size(), ndims);
+      }
+    }
+    return {};
+  }
+  // Clamping the box into the stored range loses no cell; an inverted box,
+  // or one outside the grid on some dimension, holds none.
+  array::Coordinates clo(ndims);
+  array::Coordinates chi(ndims);
+  for (size_t d = 0; d < ndims; ++d) {
+    const array::DimensionDesc& dim = dims[d];
+    const int64_t lo = std::max(box.lo[d], dim.lo);
+    const int64_t hi = std::min(
+        box.hi[d],
+        dim.unbounded ? std::numeric_limits<int64_t>::max() : dim.hi);
+    if (lo > hi) return {};
+    clo[d] = StoredChunkIndex(dim, lo);
+    chi[d] = StoredChunkIndex(dim, hi);
+  }
+
   std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() == 0) continue;
-    ARRAYDB_CHECK_EQ(chunk->bbox_lo().size(), ndims);
-    chunks.push_back(chunk);
+  array::Coordinates next = clo;
+  size_t i = GallopLowerBound(dir, 0, next);
+  while (i < dir.size()) {
+    const array::Coordinates& c = dir[i]->coords();
+    size_t d = 0;
+    while (d < ndims && c[d] >= clo[d] && c[d] <= chi[d]) ++d;
+    if (d == ndims) {
+      if (dir[i]->num_cells() != 0) chunks.push_back(dir[i]);
+      ++i;
+      continue;
+    }
+    // Keep the prefix c[0, e) and raise dimension e: to clo[d] when e == d
+    // (c is below the range there), else by one past c[e].
+    size_t e = d;
+    if (c[d] > chi[d]) {
+      while (e > 0 && c[e - 1] >= chi[e - 1]) --e;
+      if (e == 0) break;
+      --e;
+    }
+    std::copy(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(e),
+              next.begin());
+    next[e] = e == d ? clo[d] : c[e] + 1;
+    std::copy(clo.begin() + static_cast<std::ptrdiff_t>(e + 1), clo.end(),
+              next.begin() + static_cast<std::ptrdiff_t>(e + 1));
+    i = GallopLowerBound(dir, i + 1, next);
   }
   if (chunks.empty()) return chunks;
+
   simd::BBoxSoA boxes;
   boxes.Resize(chunks.size(), ndims);
   for (size_t c = 0; c < chunks.size(); ++c) {

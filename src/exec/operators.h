@@ -82,8 +82,10 @@ class FilterBoxView {
 // fixed morsel order (see src/exec/README.md).
 
 /// Selection without materialization: spans of matching cells per chunk.
-/// Whole chunks are batch-pruned via their bounding boxes (the morsel
-/// pre-filter); surviving chunks are carved into cache-sized morsels and
+/// Whole chunks are pruned first (the morsel pre-filter): a skip-scan of
+/// the array's sorted chunk directory over the box's chunk-coordinate
+/// range finds the candidates, and one SIMD bbox test over them keeps the
+/// survivors. Surviving chunks are carved into cache-sized morsels and
 /// scanned linearly in columnar order with the SIMD predicate kernel.
 FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
                              const ExecContext& context = {});

@@ -15,11 +15,12 @@ namespace internal {
 
 std::atomic<bool> g_enabled{true};
 
-int ShardIndex() {
-  static std::atomic<int> next{0};
-  thread_local const int slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return slot;
+int AssignShard() {
+  static std::atomic<uint64_t> next{0};
+  const uint64_t n = next.fetch_add(1, std::memory_order_relaxed);
+  constexpr uint64_t kOwned = kOwnedShards;
+  constexpr uint64_t kShared = kShards - kOwnedShards;
+  return static_cast<int>(n < kOwned ? n : kOwned + (n - kOwned) % kShared);
 }
 
 namespace {
@@ -63,16 +64,12 @@ int64_t MetricsNowNs() {
 
 int64_t Counter::Value() const {
   int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
+  for (const Shard& shard : shards_) total += shard.value.Get();
   return total;
 }
 
 void Counter::Reset() {
-  for (Shard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
+  for (Shard& shard : shards_) shard.value.Reset();
 }
 
 // -- Gauge --------------------------------------------------------------------
@@ -117,9 +114,7 @@ int64_t Histogram::BucketUpperBound(int b) {
 int64_t Histogram::Count() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    for (const auto& bucket : shard.buckets) {
-      total += bucket.load(std::memory_order_relaxed);
-    }
+    for (const internal::Cell& bucket : shard.buckets) total += bucket.Get();
   }
   return total;
 }
@@ -127,7 +122,7 @@ int64_t Histogram::Count() const {
 int64_t Histogram::Sum() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.sum.load(std::memory_order_relaxed);
+    total += shard.sum.Get();
   }
   return total;
 }
@@ -137,8 +132,7 @@ std::array<int64_t, Histogram::kBuckets> Histogram::BucketCounts() const {
   for (const Shard& shard : shards_) {
     for (int b = 0; b < kBuckets; ++b) {
       counts[static_cast<size_t>(b)] +=
-          shard.buckets[static_cast<size_t>(b)].load(
-              std::memory_order_relaxed);
+          shard.buckets[static_cast<size_t>(b)].Get();
     }
   }
   return counts;
@@ -146,10 +140,8 @@ std::array<int64_t, Histogram::kBuckets> Histogram::BucketCounts() const {
 
 void Histogram::Reset() {
   for (Shard& shard : shards_) {
-    for (auto& bucket : shard.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0, std::memory_order_relaxed);
+    for (internal::Cell& bucket : shard.buckets) bucket.Reset();
+    shard.sum.Reset();
   }
 }
 

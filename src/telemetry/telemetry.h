@@ -17,7 +17,8 @@
 //     recorded values are — which the schedule-invariant metrics are at any
 //     thread count (the morsel determinism contract extends to them).
 //   * Bounded overhead. A disabled registry costs one relaxed atomic load
-//     per call site; an enabled counter adds one relaxed fetch_add.
+//     per call site; an enabled counter adds a thread-local read and, on a
+//     shard its thread owns, a relaxed load and store (internal::Cell).
 //     bench_operators measures the end-to-end ratio and CI gates it at
 //     ceiling_telemetry_overhead_ratio (<= 1.05).
 //
@@ -58,9 +59,47 @@ namespace internal {
 /// footprint at a few KiB.
 inline constexpr int kShards = 16;
 
-/// This thread's shard slot: assigned round-robin from a process counter at
-/// first use, so the pool's workers spread over distinct shards.
-int ShardIndex();
+/// Shards [0, kOwnedShards) belong to one thread each: the first threads
+/// to record. Every later thread shares one of the other shards, assigned
+/// round-robin.
+inline constexpr int kOwnedShards = kShards / 2;
+
+/// Hands a thread its shard slot at its first recording.
+int AssignShard();
+
+/// This thread's shard slot.
+inline int ShardIndex() {
+  thread_local const int slot = AssignShard();
+  return slot;
+}
+
+/// One integer of an instrument shard. A thread that owns its shard is the
+/// only writer of the shard's cells, so it adds with a relaxed load and
+/// store: no locked read-modify-write, which fences the pipeline on x86 and
+/// costs as much as a small kernel call. Shared shards add with fetch_add.
+/// Reset never writes `value`, only raises `base` to it, so a reset racing
+/// an owner's add cannot be undone by that add's store.
+struct Cell {
+  std::atomic<int64_t> value{0};
+  std::atomic<int64_t> base{0};
+
+  void Add(int slot, int64_t n) {
+    if (slot >= kOwnedShards) {
+      value.fetch_add(n, std::memory_order_relaxed);
+    } else {
+      value.store(value.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+    }
+  }
+  int64_t Get() const {
+    return value.load(std::memory_order_relaxed) -
+           base.load(std::memory_order_relaxed);
+  }
+  void Reset() {
+    base.store(value.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+  }
+};
 
 extern std::atomic<bool> g_enabled;
 
@@ -101,8 +140,8 @@ class Counter {
  public:
   void Add(int64_t n) {
     if (!internal::Active()) return;
-    shards_[internal::ShardIndex()].value.fetch_add(
-        n, std::memory_order_relaxed);
+    const int slot = internal::ShardIndex();
+    shards_[slot].value.Add(slot, n);
   }
 
   int64_t Value() const;
@@ -110,7 +149,7 @@ class Counter {
 
  private:
   struct alignas(64) Shard {
-    std::atomic<int64_t> value{0};
+    internal::Cell value;
   };
   std::array<Shard, internal::kShards> shards_;
 };
@@ -144,10 +183,10 @@ class Histogram {
 
   void Record(int64_t value) {
     if (!internal::Active()) return;
-    Shard& shard = shards_[internal::ShardIndex()];
-    shard.buckets[BucketIndex(value)].fetch_add(1,
-                                                std::memory_order_relaxed);
-    shard.sum.fetch_add(value, std::memory_order_relaxed);
+    const int slot = internal::ShardIndex();
+    Shard& shard = shards_[slot];
+    shard.buckets[BucketIndex(value)].Add(slot, 1);
+    shard.sum.Add(slot, value);
   }
 
   /// Bucket for `value`; pure, exposed for tests and the snapshot legend.
@@ -163,8 +202,8 @@ class Histogram {
 
  private:
   struct alignas(64) Shard {
-    std::array<std::atomic<int64_t>, kBuckets> buckets{};
-    std::atomic<int64_t> sum{0};
+    std::array<internal::Cell, kBuckets> buckets{};
+    internal::Cell sum;
   };
   std::array<Shard, internal::kShards> shards_;
 };

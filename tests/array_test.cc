@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "array/array.h"
+#include "exec/operators.h"
+#include "util/rng.h"
 
 namespace arraydb::array {
 namespace {
@@ -100,6 +106,91 @@ TEST(ArrayTest, AllCellsSeesEveryInsert) {
   ASSERT_TRUE(a.InsertCell({4, 4}, {3.0, 4.0}).ok());
   const auto cells = a.AllCells();
   EXPECT_EQ(cells.size(), 2u);
+}
+
+// The directory holds every chunk once, in strictly increasing coordinate
+// order, each entry pointing at the array's own chunk.
+void ExpectDirectoryConsistent(const Array& a) {
+  const std::vector<const Chunk*>& dir = a.SortedChunks();
+  ASSERT_EQ(static_cast<int64_t>(dir.size()), a.num_chunks());
+  for (size_t i = 0; i < dir.size(); ++i) {
+    EXPECT_EQ(dir[i], a.FindChunk(dir[i]->coords()));
+    if (i > 0) {
+      EXPECT_TRUE(CoordinatesLess(dir[i - 1]->coords(), dir[i]->coords()));
+    }
+  }
+}
+
+Array MakeShuffledArray(uint64_t seed) {
+  Array a(ArraySchema("S",
+                      {DimensionDesc{"x", 0, 99, 3, false},
+                       DimensionDesc{"y", 0, 99, 7, false}},
+                      {AttributeDesc{"v", AttrType::kDouble}}));
+  util::Rng rng(seed);
+  for (int i = 0; i < 400; ++i) {
+    const Coordinates pos = {static_cast<int64_t>(rng.NextBounded(100)),
+                             static_cast<int64_t>(rng.NextBounded(100))};
+    EXPECT_TRUE(a.InsertCell(pos, {static_cast<double>(i)}).ok());
+  }
+  for (int64_t x = 0; x < 34; x += 5) {
+    if (a.FindChunk({x, 14}) == nullptr) {
+      EXPECT_TRUE(a.AddSyntheticChunk({{x, 14}, 3, 24}).ok());
+    }
+  }
+  return a;
+}
+
+TEST(ArrayTest, SortedChunksStayInOrderUnderAnyInsertOrder) {
+  Array a = MakeShuffledArray(41);
+  ExpectDirectoryConsistent(a);
+  // The returned reference follows later writes, in front and at the back.
+  const std::vector<const Chunk*>& dir = a.SortedChunks();
+  const size_t before = dir.size();
+  ASSERT_TRUE(a.AddSyntheticChunk({{33, 14}, 1, 8}).ok());
+  ASSERT_TRUE(a.InsertCell({0, 0}, {1.0}).ok());
+  ASSERT_TRUE(a.InsertCell({99, 99}, {1.0}).ok());
+  EXPECT_GE(dir.size(), before + 1);
+  EXPECT_EQ(dir.back()->coords(), (Coordinates{33, 14}));
+  ExpectDirectoryConsistent(a);
+}
+
+TEST(ArrayTest, CopiesOwnTheirChunkDirectory) {
+  auto source = std::make_unique<Array>(MakeShuffledArray(7));
+  const std::vector<ChunkInfo> want_infos = source->ChunkInfos();
+  const std::vector<Cell> want_cells = source->AllCells();
+  const exec::CellBox box{{10, 20}, {60, 80}};
+  const int64_t want_count = exec::FilterBoxCount(*source, box);
+  ASSERT_GT(want_count, 0);
+
+  Array copied(*source);
+  Array assigned = MakeShuffledArray(8);
+  assigned = *source;
+  source.reset();  // Entries still pointing into the source now dangle.
+
+  auto staging = std::make_unique<Array>(copied);
+  Array moved(std::move(*staging));
+  staging.reset();  // Moving keeps the chunk nodes, so nothing dangles.
+  for (const Array* a : {&copied, &assigned, &moved}) {
+    ExpectDirectoryConsistent(*a);
+    const std::vector<ChunkInfo> infos = a->ChunkInfos();
+    ASSERT_EQ(infos.size(), want_infos.size());
+    for (size_t i = 0; i < infos.size(); ++i) {
+      EXPECT_EQ(infos[i].coords, want_infos[i].coords);
+      EXPECT_EQ(infos[i].cell_count, want_infos[i].cell_count);
+    }
+    const std::vector<Cell> cells = a->AllCells();
+    ASSERT_EQ(cells.size(), want_cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].pos, want_cells[i].pos);
+      EXPECT_EQ(cells[i].values, want_cells[i].values);
+    }
+    EXPECT_EQ(exec::FilterBoxCount(*a, box), want_count);
+    EXPECT_EQ(exec::FilterBoxSpans(*a, box).num_cells(), want_count);
+  }
+  // A write to one copy leaves the others alone.
+  ASSERT_TRUE(copied.InsertCell({50, 50}, {0.0}).ok());
+  EXPECT_EQ(exec::FilterBoxCount(copied, box), want_count + 1);
+  EXPECT_EQ(exec::FilterBoxCount(assigned, box), want_count);
 }
 
 TEST(ChunkTest, SyntheticAndMaterializedModesAreExclusive) {

@@ -475,9 +475,9 @@ TEST_F(ColumnarEquivalenceTest, RegridMatchesReferenceAccumulation) {
 TEST_F(ColumnarEquivalenceTest, TotalsSurviveColumnarStorage) {
   // Footprint accounting is unchanged by the storage layout.
   int64_t cells = 0;
-  for (const auto& [coords, chunk] : modis_.chunks()) {
-    cells += chunk.cell_count();
-    EXPECT_EQ(chunk.cell_count(), static_cast<int64_t>(chunk.num_cells()));
+  for (const array::Chunk* chunk : modis_.SortedChunks()) {
+    cells += chunk->cell_count();
+    EXPECT_EQ(chunk->cell_count(), static_cast<int64_t>(chunk->num_cells()));
   }
   EXPECT_EQ(cells, modis_.total_cells());
 }

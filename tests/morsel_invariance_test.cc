@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "array/array.h"
@@ -92,6 +94,35 @@ TEST_F(MorselInvarianceTest, GroupBySumInvariant) {
                                     << " grain=" << grain;
       }
     }
+  }
+}
+
+TEST_F(MorselInvarianceTest, ConcurrentReadersShareOneArray) {
+  // Readers only read the array's chunk directory: four threads selecting
+  // and aggregating over one shared array at once (each also fanning out
+  // morsels) see exactly the sequential results.
+  const CellBox box{{0, 4, 2}, {2, 20, 12}};
+  const std::vector<int64_t> bin = {2, 8, 8};
+  const int64_t want_count = FilterBoxCount(modis_, box, Opts(1, 192));
+  const std::map<Coordinates, double> want_sums =
+      GroupBySum(modis_, bin, /*attr=*/1, Opts(1, 192));
+  ASSERT_GT(want_count, 0);
+  constexpr int kReaders = 4;
+  std::vector<int64_t> counts(kReaders);
+  std::vector<std::map<Coordinates, double>> sums(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int rep = 0; rep < 3; ++rep) {
+        counts[r] = FilterBoxCount(modis_, box, Opts(2, 192));
+        sums[r] = GroupBySum(modis_, bin, 1, Opts(2, 192));
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(counts[r], want_count) << "reader " << r;
+    EXPECT_EQ(sums[r], want_sums) << "reader " << r;
   }
 }
 

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "array/array.h"
@@ -119,6 +121,166 @@ TEST(FilterTest, PrunesByChunk) {
   ASSERT_TRUE(a.InsertCell({5}, {1.0}).ok());
   EXPECT_TRUE(FilterBoxSpans(a, CellBox{{50}, {60}}).empty());
   EXPECT_EQ(FilterBoxSpans(a, CellBox{{0}, {9}}).num_cells(), 1);
+}
+
+// -- Broad phase: the directory skip-scan against brute force ---------------
+
+// Highest cell coordinate the random arrays use on `dim`.
+int64_t TopOf(const DimensionDesc& dim) {
+  return dim.unbounded ? dim.lo + 60 : dim.hi;
+}
+
+// `cells` random cells inserted in random order (so the directory takes
+// middle inserts, not only appends), plus up to `synthetic` metadata-only
+// chunks on grid slots that hold no cells.
+Array MakeRandomArray(const std::vector<DimensionDesc>& dims, int cells,
+                      int synthetic, uint64_t seed) {
+  util::Rng rng(seed);
+  Array a(ArraySchema("r", dims, {AttributeDesc{"v", AttrType::kDouble}}));
+  const auto pick = [&rng](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(
+                    rng.NextBounded(static_cast<uint64_t>(hi - lo + 1)));
+  };
+  Coordinates pos(dims.size());
+  for (int i = 0; i < cells; ++i) {
+    for (size_t d = 0; d < dims.size(); ++d) {
+      pos[d] = pick(dims[d].lo, TopOf(dims[d]));
+    }
+    EXPECT_TRUE(a.InsertCell(pos, {static_cast<double>(i)}).ok());
+  }
+  for (int i = 0; i < synthetic; ++i) {
+    for (size_t d = 0; d < dims.size(); ++d) {
+      pos[d] = pick(0, dims[d].ChunkIndexOf(TopOf(dims[d])));
+    }
+    if (a.FindChunk(pos) != nullptr) continue;
+    array::ChunkInfo info;
+    info.coords = pos;
+    info.cell_count = 7;
+    info.bytes = 56;
+    EXPECT_TRUE(a.AddSyntheticChunk(info).ok());
+  }
+  return a;
+}
+
+// The selected positions in the order a full scan of AllCells() visits
+// them: chunks in directory order, cells in insertion order.
+std::vector<Coordinates> BrutePositions(const Array& a, const CellBox& box) {
+  std::vector<Coordinates> out;
+  for (const array::Cell& cell : a.AllCells()) {
+    if (box.Contains(cell.pos)) out.push_back(cell.pos);
+  }
+  return out;
+}
+
+std::vector<Coordinates> ViewPositions(const FilterBoxView& view) {
+  std::vector<Coordinates> out;
+  view.ForEachCell([&out](const array::Chunk& chunk, size_t i) {
+    out.push_back(chunk.MaterializeCell(i).pos);
+  });
+  return out;
+}
+
+void ExpectMatchesBruteForce(const Array& a, const CellBox& box) {
+  const std::vector<Coordinates> want = BrutePositions(a, box);
+  const FilterBoxView view = FilterBoxSpans(a, box);
+  EXPECT_EQ(ViewPositions(view), want);
+  EXPECT_EQ(view.num_cells(), static_cast<int64_t>(want.size()));
+  EXPECT_EQ(FilterBoxCount(a, box), static_cast<int64_t>(want.size()));
+}
+
+TEST(BroadPhaseTest, SkipScanMatchesBruteForce) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::vector<DimensionDesc>> schemas = {
+      // Rank 1 with a negative origin.
+      {DimensionDesc{"x", -50, 400, 7, false}},
+      // Rank 4 with an unbounded leading dimension; every interval > 1.
+      {DimensionDesc{"t", 0, 0, 3, true}, DimensionDesc{"x", -8, 30, 4, false},
+       DimensionDesc{"y", 0, 19, 5, false},
+       DimensionDesc{"z", 10, 25, 2, false}},
+  };
+  uint64_t seed = 17;
+  for (const auto& dims : schemas) {
+    const size_t ndims = dims.size();
+    const Array a = MakeRandomArray(dims, /*cells=*/ndims == 1 ? 150 : 600,
+                                    /*synthetic=*/40, ++seed);
+    SCOPED_TRACE("rank " + std::to_string(ndims));
+    Coordinates lo(ndims);
+    Coordinates hi(ndims);
+    const auto with = [&](auto&& set_dim) {
+      for (size_t d = 0; d < ndims; ++d) set_dim(d, dims[d]);
+      ExpectMatchesBruteForce(a, CellBox{lo, hi});
+    };
+    // The whole array, up to the int64 extremes.
+    with([&](size_t d, const DimensionDesc&) {
+      lo[d] = kMin;
+      hi[d] = kMax;
+    });
+    // Straddling the declared lo, and the highest stored coordinate.
+    with([&](size_t d, const DimensionDesc& dim) {
+      lo[d] = dim.lo - 3;
+      hi[d] = dim.lo + 5;
+    });
+    with([&](size_t d, const DimensionDesc& dim) {
+      lo[d] = TopOf(dim) - 5;
+      hi[d] = TopOf(dim) + 3;
+    });
+    for (size_t out = 0; out < ndims; ++out) {
+      // Fully outside the grid on one dimension, below and above.
+      with([&](size_t d, const DimensionDesc& dim) {
+        lo[d] = d == out ? kMin : dim.lo;
+        hi[d] = d == out ? dim.lo - 1 : kMax;
+      });
+      with([&](size_t d, const DimensionDesc& dim) {
+        lo[d] = d == out ? TopOf(dim) + 1 : kMin;
+        hi[d] = kMax;
+      });
+      // Inverted on one dimension.
+      with([&](size_t d, const DimensionDesc& dim) {
+        lo[d] = d == out ? dim.lo + 4 : dim.lo;
+        hi[d] = d == out ? dim.lo + 2 : TopOf(dim);
+      });
+    }
+    // One cell: every stored position of a few chunks.
+    for (const array::Cell& cell : a.AllCells()) {
+      if (cell.values[0] >= 20) continue;
+      ExpectMatchesBruteForce(a, CellBox{cell.pos, cell.pos});
+    }
+    // Random boxes, a few of them inverted, reaching past both grid ends.
+    util::Rng rng(seed);
+    for (int trial = 0; trial < 300; ++trial) {
+      with([&](size_t d, const DimensionDesc& dim) {
+        const uint64_t width = static_cast<uint64_t>(TopOf(dim) - dim.lo + 21);
+        int64_t u = dim.lo - 10 + static_cast<int64_t>(rng.NextBounded(width));
+        int64_t v = dim.lo - 10 + static_cast<int64_t>(rng.NextBounded(width));
+        if (u > v && rng.NextBounded(10) != 0) std::swap(u, v);
+        lo[d] = u;
+        hi[d] = v;
+      });
+    }
+  }
+}
+
+TEST(BroadPhaseTest, EmptyAndSyntheticOnlyArraysSelectNothing) {
+  const std::vector<DimensionDesc> dims = {
+      DimensionDesc{"x", 0, 99, 10, false},
+      DimensionDesc{"y", 0, 99, 10, false}};
+  const Array empty = MakeRandomArray(dims, /*cells=*/0, /*synthetic=*/0, 3);
+  const Array synthetic =
+      MakeRandomArray(dims, /*cells=*/0, /*synthetic=*/30, 3);
+  ASSERT_GT(synthetic.num_chunks(), 0);
+  for (const Array* a : {&empty, &synthetic}) {
+    EXPECT_EQ(FilterBoxCount(*a, CellBox{{0, 0}, {99, 99}}), 0);
+    EXPECT_TRUE(FilterBoxSpans(*a, CellBox{{0, 0}, {99, 99}}).empty());
+    // A box of the wrong rank is only checked against stored cells.
+    EXPECT_EQ(FilterBoxCount(*a, CellBox{{0}, {99}}), 0);
+  }
+}
+
+TEST(BroadPhaseDeathTest, WrongRankBoxAbortsWhenCellsAreStored) {
+  const Array a = MakeGridArray();
+  EXPECT_DEATH(FilterBoxCount(a, CellBox{{0}, {7}}), "");
+  EXPECT_DEATH(FilterBoxSpans(a, CellBox{{0, 0, 0}, {7, 7, 7}}), "");
 }
 
 TEST(QuantileTest, MedianOfKnownValues) {

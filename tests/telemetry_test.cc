@@ -47,6 +47,50 @@ TEST(CounterTest, ConcurrentAddsSumExactly) {
   EXPECT_EQ(counter.Value(), 0);
 }
 
+TEST(CounterTest, OwnedAndSharedShardsSumExactly) {
+  // More threads than shards: the first to record own a shard each, the
+  // rest share the others, and every add still lands exactly once.
+  Counter counter;
+  Histogram hist;
+  constexpr int kThreads = 2 * internal::kShards + 3;
+  constexpr int kAddsPerThread = 5000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter, &hist, t] {
+      for (int i = 0; i < kAddsPerThread; ++i) {
+        counter.Add(1);
+        hist.Record(t);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter.Value(), int64_t{kThreads} * kAddsPerThread);
+  EXPECT_EQ(hist.Count(), int64_t{kThreads} * kAddsPerThread);
+  EXPECT_EQ(hist.Sum(),
+            int64_t{kAddsPerThread} * (kThreads - 1) * kThreads / 2);
+}
+
+TEST(CounterTest, ResetThenAddCountsOnlyNewAdds) {
+  Counter counter;
+  Histogram hist;
+  const auto record = [&counter, &hist](int64_t n) {
+    counter.Add(n);
+    hist.Record(n);
+  };
+  record(5);
+  std::thread([&record] { record(7); }).join();
+  counter.Reset();
+  hist.Reset();
+  EXPECT_EQ(counter.Value(), 0);
+  EXPECT_EQ(hist.Count(), 0);
+  record(2);
+  std::thread([&record] { record(3); }).join();
+  EXPECT_EQ(counter.Value(), 5);
+  EXPECT_EQ(hist.Count(), 2);
+  EXPECT_EQ(hist.Sum(), 5);
+}
+
 TEST(HistogramTest, ConcurrentRecordsCountExactly) {
   Histogram hist;
   constexpr int kThreads = 8;

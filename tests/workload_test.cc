@@ -214,11 +214,12 @@ TEST(SampleDataTest, SmallModisHasLandOceanContrast) {
   // Land chunks (lon < 20) should be denser than ocean.
   int64_t land = 0;
   int64_t ocean = 0;
-  for (const auto& [coords, chunk] : band.chunks()) {
+  for (const array::Chunk* chunk : band.SortedChunks()) {
+    const array::Coordinates& coords = chunk->coords();
     if (coords[1] < 5) {
-      land += chunk.cell_count();
+      land += chunk->cell_count();
     } else if (coords[1] >= 6) {
-      ocean += chunk.cell_count();
+      ocean += chunk->cell_count();
     }
   }
   EXPECT_GT(land, ocean);
@@ -229,11 +230,12 @@ TEST(SampleDataTest, SmallAisClustersAtPorts) {
   EXPECT_GT(tracks.total_cells(), 300);
   // Port chunks should far outweigh open-water chunks.
   int64_t port_cells = 0;
-  for (const auto& [coords, chunk] : tracks.chunks()) {
+  for (const array::Chunk* chunk : tracks.SortedChunks()) {
+    const array::Coordinates& coords = chunk->coords();
     const bool near_port =
         (std::abs(coords[1] - 1) <= 1 && std::abs(coords[2] - 1) <= 1) ||
         (std::abs(coords[1] - 6) <= 1 && std::abs(coords[2] - 4) <= 1);
-    if (near_port) port_cells += chunk.cell_count();
+    if (near_port) port_cells += chunk->cell_count();
   }
   EXPECT_GT(static_cast<double>(port_cells),
             0.4 * static_cast<double>(tracks.total_cells()));
