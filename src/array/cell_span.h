@@ -42,12 +42,6 @@ class CellSpanView {
   /// chunk and local cell index.
   Location Locate(int64_t global_index) const;
 
-  /// Global cell index of the first cell of chunk `chunk_index` (the
-  /// cumulative cell count of everything before it).
-  int64_t ChunkOffset(size_t chunk_index) const {
-    return offsets_[chunk_index];
-  }
-
   /// Slices the global cell range [begin, end) into maximal per-chunk runs:
   /// invokes fn(chunk, local_begin, local_end) for each chunk the range
   /// touches, in global order. This is how morsels over a cell range map

@@ -60,11 +60,6 @@ class Chunk {
   void AppendCell(const Coordinates& pos, const std::vector<double>& values,
                   int64_t bytes_per_cell);
 
-  /// Convenience wrapper over AppendCell.
-  void AddCell(const Cell& cell, int64_t bytes_per_cell) {
-    AppendCell(cell.pos, cell.values, bytes_per_cell);
-  }
-
   /// Sets a synthetic physical size without materializing cells (used by the
   /// paper-scale generators, where only the footprint matters).
   void SetSyntheticSize(int64_t cell_count, int64_t bytes);

@@ -40,7 +40,6 @@ InsertStats ElasticEngine::IngestBatch(
   }
   stats.chunks = static_cast<int64_t>(batch.size());
   stats.minutes = cost_model_.InsertMinutes(destinations, kCoordinator).minutes;
-  total_insert_minutes_ += stats.minutes;
   return stats;
 }
 
@@ -61,7 +60,6 @@ ReorgStats ElasticEngine::ScaleOut(int nodes_to_add) {
 
   const auto status = cluster_.Apply(prep.plan);
   ARRAYDB_CHECK(status.ok());
-  total_reorg_minutes_ += stats.minutes;
   return stats;
 }
 

@@ -74,10 +74,6 @@ class ElasticEngine {
   /// *without* applying it, for incremental execution by the caller.
   ScaleOutPrep PrepareScaleOut(int nodes_to_add);
 
-  /// Charges reorganization minutes executed outside ScaleOut (the
-  /// incremental path), keeping total_reorg_minutes() consistent.
-  void RecordReorgMinutes(double minutes) { total_reorg_minutes_ += minutes; }
-
   const cluster::Cluster& cluster() const { return cluster_; }
   /// Mutable substrate access for the incremental reorg driver.
   cluster::Cluster& mutable_cluster() { return cluster_; }
@@ -85,17 +81,11 @@ class ElasticEngine {
   const Partitioner& partitioner() const { return *partitioner_; }
   const cluster::CostModel& cost_model() const { return cost_model_; }
 
-  /// Cumulative simulated minutes spent on inserts and reorganizations.
-  double total_insert_minutes() const { return total_insert_minutes_; }
-  double total_reorg_minutes() const { return total_reorg_minutes_; }
-
  private:
   std::unique_ptr<Partitioner> partitioner_;
   cluster::Cluster cluster_;
   cluster::CostModel cost_model_;
   int ingest_threads_ = 1;
-  double total_insert_minutes_ = 0.0;
-  double total_reorg_minutes_ = 0.0;
 };
 
 }  // namespace arraydb::core

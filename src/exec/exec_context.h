@@ -1,6 +1,6 @@
 // ExecContext: the explicit per-call execution settings of the data-plane
-// operators and joins — worker threads, morsel grain, join partition bits,
-// and an optional cooperative yield gate.
+// operators and joins — worker threads, morsel grain and join partition
+// bits.
 //
 // It is the only way settings reach the operators (exec/operators.h), the
 // joins (exec/join.h) and exec::MorselScheduler: every entry point takes a
@@ -17,8 +17,6 @@
 #include <cstdint>
 
 namespace arraydb::exec {
-
-class YieldPoint;
 
 /// Default target cells per morsel. ~16k cells keeps a morsel's touched
 /// columns (coords + one attribute + mask, ~33 B/cell at rank 3) inside a
@@ -43,12 +41,6 @@ struct ExecContext {
   /// operators are grain-invariant, floating-point sums may differ in the
   /// last ULPs between grains (deterministically; see src/exec/README.md).
   int64_t morsel_grain = kDefaultMorselGrainCells;
-  /// Optional cooperative preemption gate: morsel workers running under
-  /// this context pause at the pickup counter while the gate is held (the
-  /// serving layer holds it for batch-tier work whenever interactive
-  /// queries are pending). Timing-only — never affects results. Not owned;
-  /// must outlive every operator call using the context.
-  const YieldPoint* yield = nullptr;
 };
 
 }  // namespace arraydb::exec

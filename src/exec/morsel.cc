@@ -10,32 +10,8 @@
 
 namespace arraydb::exec {
 
-void YieldPoint::Wait() const {
-  if (depth_.load(std::memory_order_acquire) == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  open_.wait(lock, [this] {
-    return depth_.load(std::memory_order_relaxed) == 0;
-  });
-}
-
-void YieldPoint::Pause() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  depth_.fetch_add(1, std::memory_order_release);
-}
-
-void YieldPoint::Resume() const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const int prev = depth_.fetch_sub(1, std::memory_order_release);
-    ARRAYDB_CHECK_GT(prev, 0);
-    if (prev != 1) return;
-  }
-  open_.notify_all();
-}
-
 MorselScheduler::MorselScheduler(const ExecContext& context)
-    : yield_(context.yield),
-      threads_(util::ResolveThreadCount(context.data_plane_threads)) {
+    : threads_(util::ResolveThreadCount(context.data_plane_threads)) {
   ARRAYDB_CHECK_GT(context.morsel_grain, 0);
 }
 
@@ -85,14 +61,11 @@ void MorselScheduler::Run(
   // Shared ascending pickup: whichever worker is free takes the next morsel
   // index, so pickup order is chunk-major and load balancing is dynamic.
   std::atomic<size_t> next{0};
-  const auto pump = [&next, &morsels, &fn, count, yield = yield_] {
+  const auto pump = [&next, &morsels, &fn, count] {
     TELEM_SPAN("exec.morsel.worker");
     const int64_t busy_start_ns = telemetry::MetricsNowNs();
     for (size_t m = next.fetch_add(1, std::memory_order_relaxed); m < count;
          m = next.fetch_add(1, std::memory_order_relaxed)) {
-      // The pickup counter is the preemption boundary: a held yield gate
-      // stalls the worker here, between morsels, never mid-morsel.
-      if (yield) yield->Wait();
       fn(m, morsels[m].first, morsels[m].second);
     }
     if (busy_start_ns > 0) {

@@ -26,11 +26,8 @@
 #ifndef ARRAYDB_EXEC_MORSEL_H_
 #define ARRAYDB_EXEC_MORSEL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -40,46 +37,15 @@
 
 namespace arraydb::exec {
 
-/// Cooperative preemption gate at the morsel pickup counter. While the
-/// gate is held (Pause without matching Resume), morsel workers running
-/// under an ExecContext that carries the gate block in Wait() before
-/// picking their next morsel; Resume releases them. The serving layer
-/// holds the gate for batch-tier work whenever interactive queries are
-/// pending, so long scans yield between morsels — never mid-morsel, and
-/// never in a way that changes results (the gate delays pickup, it does
-/// not reorder the decomposition or the combine).
-///
-/// Pause/Resume nest (a depth counter); Wait() is wait-free while the
-/// gate is open (one relaxed atomic load). Safe for any number of
-/// concurrent waiters and holders.
-class YieldPoint {
- public:
-  /// Blocks while the gate is held; returns immediately when open.
-  void Wait() const;
-  /// Holds the gate (nestable).
-  void Pause() const;
-  /// Releases one Pause; wakes all waiters when the depth reaches zero.
-  void Resume() const;
-  /// Whether the gate is currently held (advisory snapshot).
-  bool paused() const {
-    return depth_.load(std::memory_order_acquire) > 0;
-  }
-
- private:
-  mutable std::atomic<int> depth_{0};
-  mutable std::mutex mu_;
-  mutable std::condition_variable open_;
-};
-
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
 
 class MorselScheduler {
  public:
   /// Runs on context.data_plane_threads workers (resolved by
-  /// util::ResolveThreadCount; 1 is exactly the sequential path) and
-  /// consults context.yield at every morsel pickup. Callers carve their
-  /// work domain with context.morsel_grain (checked positive here).
+  /// util::ResolveThreadCount; 1 is exactly the sequential path). Callers
+  /// carve their work domain with context.morsel_grain (checked positive
+  /// here).
   explicit MorselScheduler(const ExecContext& context);
 
   /// Resolved worker count (>= 1).
@@ -123,7 +89,6 @@ class MorselScheduler {
                           static_cast<int64_t>(morsels.size()));
       }
       for (size_t m = 0; m < morsels.size(); ++m) {
-        if (yield_) yield_->Wait();
         combine(acc, morsel_fn(m, morsels[m].first, morsels[m].second));
       }
       return acc;
@@ -138,7 +103,6 @@ class MorselScheduler {
   }
 
  private:
-  const YieldPoint* yield_;
   int threads_;
 };
 

@@ -23,15 +23,6 @@ bool CellBox::Contains(const array::Coordinates& pos) const {
   return true;
 }
 
-bool CellBox::Intersects(const array::Coordinates& box_lo,
-                         const array::Coordinates& box_hi) const {
-  ARRAYDB_CHECK_EQ(box_lo.size(), lo.size());
-  for (size_t d = 0; d < lo.size(); ++d) {
-    if (box_hi[d] < lo[d] || box_lo[d] > hi[d]) return false;
-  }
-  return true;
-}
-
 namespace {
 
 // Chunk-grid index of `cell` on `dim`, for a cell inside the dimension's

@@ -25,10 +25,6 @@ struct CellBox {
   array::Coordinates hi;
 
   bool Contains(const array::Coordinates& pos) const;
-
-  /// True if the box intersects [chunk_lo, chunk_hi] (both inclusive).
-  bool Intersects(const array::Coordinates& box_lo,
-                  const array::Coordinates& box_hi) const;
 };
 
 /// Span-based selection result: for each surviving chunk, the maximal runs

@@ -4,28 +4,6 @@
 
 namespace arraydb::exec {
 
-const char* QueryKindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kFilter:
-      return "filter";
-    case QueryKind::kSortQuantile:
-      return "sort-quantile";
-    case QueryKind::kDimJoin:
-      return "dim-join";
-    case QueryKind::kAttrJoin:
-      return "attr-join";
-    case QueryKind::kGroupBy:
-      return "group-by";
-    case QueryKind::kWindow:
-      return "window";
-    case QueryKind::kKMeans:
-      return "k-means";
-    case QueryKind::kKnn:
-      return "knn";
-  }
-  return "?";
-}
-
 bool ChunkRegion::Contains(const array::Coordinates& chunk_coords) const {
   ARRAYDB_CHECK_EQ(chunk_coords.size(), lo.size());
   for (size_t d = 0; d < lo.size(); ++d) {

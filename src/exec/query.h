@@ -30,8 +30,6 @@ enum class QueryKind {
   kKnn,           // k-nearest-neighbors on sampled cells (Modeling, AIS).
 };
 
-const char* QueryKindName(QueryKind kind);
-
 /// Axis-aligned region of the chunk grid, inclusive on both ends.
 struct ChunkRegion {
   array::Coordinates lo;

@@ -6,18 +6,6 @@
 
 namespace arraydb::fault {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kTransientFailure:
-      return "transient-failure";
-    case FaultKind::kSlowCopy:
-      return "slow-copy";
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
   plan_.transient_failure_rate =
       std::clamp(plan_.transient_failure_rate, 0.0, 1.0);

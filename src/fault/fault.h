@@ -70,7 +70,6 @@ enum class FaultKind {
   kTransientFailure,
   kSlowCopy,
 };
-const char* FaultKindName(FaultKind kind);
 
 /// Identity of one transfer attempt — the key a FaultPlan's per-transfer
 /// schedule is evaluated on. Two attempts with the same identity (same

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "exec/morsel.h"
 #include "telemetry/telemetry.h"
 
 namespace arraydb::serve {
@@ -79,18 +78,6 @@ int SessionServer::OpenSession(Tier tier) {
   session.tier = tier;
   sessions_.push_back(session);
   return static_cast<int>(sessions_.size()) - 1;
-}
-
-exec::ExecContext SessionServer::interactive_context() const {
-  exec::ExecContext context = options_.exec_context;
-  context.yield = nullptr;
-  return context;
-}
-
-exec::ExecContext SessionServer::batch_context() const {
-  exec::ExecContext context = options_.exec_context;
-  context.yield = &gate_;
-  return context;
 }
 
 // Best ready request under the policy: (tier, seq) with priority tiers,
@@ -171,7 +158,6 @@ void SessionServer::CompleteLocked(size_t pending_index) {
   } else {
     TELEM_HISTOGRAM_RECORD("serve.latency.batch_ms", latency_ms);
   }
-  completion_pending_.push_back(pending_index);
   result_.completed.push_back(std::move(record));
 }
 
@@ -229,6 +215,9 @@ Admission SessionServer::Submit(int session, Request request) {
   // controller would see them.
   const double arrival = std::max(request.arrival_minutes, clock_minutes_);
   AdvanceLocked(arrival);
+  // Stored clamped, so CompleteLocked releases exactly what was charged; a
+  // NaN or negative value must not poison or undercut the in-flight sum.
+  request.scan_gb = std::max(0.0, request.scan_gb);
 
   Session& s = sessions_[static_cast<size_t>(session)];
   // Degraded mode sheds batch queue capacity: fault recovery owns part of
@@ -236,9 +225,10 @@ Admission SessionServer::Submit(int session, Request request) {
   // queue while interactive limits stay untouched.
   int tier_limit = options_.admission.max_tier_queue;
   if (options_.degraded && tier == Tier::kBatch) {
+    // NaN sheds nothing: std::clamp would pass it through to the cast.
+    const double shed = options_.admission.degraded_batch_shed_fraction;
     const double keep =
-        1.0 - std::clamp(options_.admission.degraded_batch_shed_fraction,
-                         0.0, 1.0);
+        1.0 - (std::isnan(shed) ? 0.0 : std::clamp(shed, 0.0, 1.0));
     tier_limit = static_cast<int>(
         std::floor(keep * static_cast<double>(tier_limit)));
   }
@@ -284,25 +274,10 @@ Admission SessionServer::Submit(int session, Request request) {
   return Admission::kAdmitted;
 }
 
-void SessionServer::AdvanceTo(double minutes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AdvanceLocked(std::max(minutes, clock_minutes_));
-}
-
 ServeResult SessionServer::Finish() {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   AdvanceLocked(std::numeric_limits<double>::infinity());
   finished_ = true;
-
-  // Completion records carrying a compute closure, per tier, in
-  // completion order (completion_pending_ maps each record back to its
-  // pending entry).
-  std::array<std::vector<size_t>, kNumTiers> compute_indices;
-  for (size_t c = 0; c < result_.completed.size(); ++c) {
-    if (pending_[completion_pending_[c]].request.compute) {
-      compute_indices[TierIndex(result_.completed[c].tier)].push_back(c);
-    }
-  }
 
   // Per-tier latency summaries from the completion records.
   for (size_t t = 0; t < kNumTiers; ++t) {
@@ -315,34 +290,6 @@ ServeResult SessionServer::Finish() {
 
   ServeResult result = std::move(result_);
   result_ = ServeResult{};
-  lock.unlock();
-
-  // Real execution: interactive closures first with the yield gate held
-  // (concurrent batch work elsewhere in the process parks at the morsel
-  // pickup counter), then batch closures. Each closure writes only its
-  // own completion record's slot — slot-stable, so values are
-  // bit-identical at every compute_threads setting and independent of
-  // how sessions interleaved in virtual time.
-  const auto run_tier = [&](Tier tier, const exec::ExecContext& context) {
-    const std::vector<size_t>& indices = compute_indices[TierIndex(tier)];
-    if (indices.empty()) return;
-    exec::ExecContext compute;
-    compute.data_plane_threads = options_.compute_threads;
-    const exec::MorselScheduler scheduler(compute);
-    scheduler.Run(
-        exec::MorselScheduler::Carve(static_cast<int64_t>(indices.size()), 1),
-        [&](size_t, int64_t begin, int64_t) {
-          const size_t c = indices[static_cast<size_t>(begin)];
-          Completed& rec = result.completed[c];
-          rec.value =
-              pending_[completion_pending_[c]].request.compute(context);
-          rec.has_value = true;
-        });
-  };
-  gate_.Pause();
-  run_tier(Tier::kInteractive, interactive_context());
-  gate_.Resume();
-  run_tier(Tier::kBatch, batch_context());
   return result;
 }
 

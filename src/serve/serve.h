@@ -1,36 +1,28 @@
-// Multi-tenant serving layer above exec::QueryEngine and the data-plane
-// operators: N concurrent sessions submit queries into per-session bounded
-// queues with priority tiers (interactive / batch), an admission
-// controller sheds work with a typed rejection — never blocking — when
-// queue depth or in-flight bytes exceed limits, and long batch work yields
-// to point queries at the morsel scheduler's pickup counter.
+// Multi-tenant serving layer above exec::QueryEngine's pricing: N
+// concurrent sessions submit queries into per-session bounded queues with
+// priority tiers (interactive / batch), an admission controller sheds work
+// with a typed rejection — never blocking — when queue depth or in-flight
+// bytes exceed limits, and long batch work yields to point queries at
+// virtual slice boundaries.
 //
-// The server is a deterministic virtual-time machine, mirroring the
-// engine-vs-operators split the rest of the system uses: requests carry a
+// The server is a deterministic virtual-time machine: requests carry a
 // simulated service demand in minutes (typically QueryEngine::Simulate's
-// pricing of the query), and SessionServer plays W virtual workers
-// forward over a discrete-event clock — time-sliced, priority-scheduled,
-// admission-controlled. Latency percentiles are therefore machine-
-// independent and exactly reproducible, which is what lets CI gate the
-// interactive p99 as a hard ceiling (BENCH_serving.json). Real execution
-// rides the same contract: an admitted request may carry a compute
-// closure, and Finish() runs the closures slot-stable (one result slot
-// per request, interactive tier first, batch tier gated by the yield
-// point), so results are bit-identical to sequential execution no matter
-// how many sessions submitted them. See src/serve/README.md.
+// pricing of the query, the paper's §3.4 minutes), and SessionServer plays
+// W virtual workers forward over a discrete-event clock — time-sliced,
+// priority-scheduled, admission-controlled. Latency percentiles are
+// therefore machine-independent and exactly reproducible, which is what
+// lets CI gate the interactive p99 as a hard ceiling (BENCH_serving.json),
+// and the completion records do not depend on how many sessions submitted
+// the requests. See src/serve/README.md.
 
 #ifndef ARRAYDB_SERVE_SERVE_H_
 #define ARRAYDB_SERVE_SERVE_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "exec/exec_context.h"
-#include "exec/morsel.h"
 
 namespace arraydb::serve {
 
@@ -67,7 +59,8 @@ struct AdmissionLimits {
   /// Fraction of the batch tier's queue capacity shed while the server runs
   /// degraded (ServerOptions::degraded — fault recovery is consuming
   /// bandwidth): batch admission tightens so retry traffic and interactive
-  /// queries keep their headroom. Clamped to [0, 1]; 0 disables shedding.
+  /// queries keep their headroom. Clamped to [0, 1]; 0 or NaN disables
+  /// shedding.
   double degraded_batch_shed_fraction = 0.5;
 };
 
@@ -108,12 +101,6 @@ struct ServerOptions {
   bool degraded = false;
   AdmissionLimits admission;
   SchedulerPolicy policy;
-  /// Base execution context for compute closures; Finish() derives the
-  /// batch variant by attaching the server's yield gate.
-  exec::ExecContext exec_context;
-  /// Threads running compute closures in Finish() (slot-stable; results
-  /// are identical at every setting).
-  int compute_threads = 1;
 };
 
 /// One query submitted to a session. Service demand and scan bytes come
@@ -122,15 +109,12 @@ struct Request {
   std::string name;
   /// Simulated service minutes (before dilation). Clamped to >= 0.
   double cost_minutes = 0.0;
-  /// Bytes the request holds in flight while admitted, in GB.
+  /// Bytes the request holds in flight while admitted, in GB. Clamped to
+  /// >= 0 (NaN counts as 0).
   double scan_gb = 0.0;
   /// Requested arrival time on the virtual clock; the effective arrival
   /// is max(arrival_minutes, current clock) — time never runs backwards.
   double arrival_minutes = 0.0;
-  /// Optional real work, run by Finish() under the server's contexts.
-  /// Must be a pure function of (its inputs, the context) — the
-  /// determinism contract makes the result context-independent.
-  std::function<double(const exec::ExecContext&)> compute;
 };
 
 /// A served request's lifecycle record, in completion order.
@@ -143,9 +127,6 @@ struct Completed {
   double finish_minutes = 0.0;  // Last slice ended.
   double latency_minutes = 0.0;  // finish - arrival (queueing + service).
   int slices = 1;
-  /// Set by Finish() when the request carried a compute closure.
-  bool has_value = false;
-  double value = 0.0;
 };
 
 /// Nearest-rank latency percentiles, reported in simulated milliseconds
@@ -197,9 +178,8 @@ struct ServeResult {
 ///
 /// Lifecycle: OpenSession × N → Submit (each returns its typed admission
 /// verdict immediately, evaluated against live virtual state) → Finish()
-/// drains the virtual machine, runs compute closures, and returns the
-/// result. One-shot: after Finish() every Submit is rejected with
-/// kRejectedUnknownSession.
+/// drains the virtual machine and returns the result. One-shot: after
+/// Finish() every Submit is rejected with kRejectedUnknownSession.
 class SessionServer {
  public:
   explicit SessionServer(ServerOptions options);
@@ -215,23 +195,8 @@ class SessionServer {
   /// would see. Returns immediately in every case.
   Admission Submit(int session, Request request);
 
-  /// Advances the virtual machine to `minutes` (processing every start,
-  /// slice, and completion event up to it). Submit advances implicitly;
-  /// this is for tests and live pacing.
-  void AdvanceTo(double minutes);
-
-  /// Drains all admitted work, runs compute closures (interactive tier
-  /// first, then batch under the yield gate), and returns the result.
+  /// Drains all admitted work and returns the result.
   ServeResult Finish();
-
-  /// The gate batch-tier compute runs under: held while interactive
-  /// compute is pending, so batch morsel workers park at the pickup
-  /// counter. Exposed for callers running their own batch work.
-  const exec::YieldPoint& yield_gate() const { return gate_; }
-
-  /// Context variants for compute closures: batch carries the yield gate.
-  exec::ExecContext interactive_context() const;
-  exec::ExecContext batch_context() const;
 
   const ServerOptions& options() const { return options_; }
 
@@ -260,7 +225,6 @@ class SessionServer {
   void CompleteLocked(size_t pending_index);
 
   ServerOptions options_;
-  exec::YieldPoint gate_;
 
   mutable std::mutex mu_;
   bool finished_ = false;
@@ -268,9 +232,6 @@ class SessionServer {
   std::vector<Session> sessions_;
   std::vector<Pending> pending_;
   ServeResult result_;
-  // pending_ index of result_.completed[c] — how Finish() finds each
-  // completion record's compute closure.
-  std::vector<size_t> completion_pending_;
   double inflight_gb_ = 0.0;
   std::array<int, kNumTiers> tier_queued_{};
   // Virtual workers, index = worker id: when the worker runs a slice,

@@ -265,13 +265,6 @@ class Registry {
     arraydb_telem_instr_.Set(v);                                         \
   } while (false)
 
-#define TELEM_GAUGE_MAX(name, v)                                         \
-  do {                                                                   \
-    static ::arraydb::telemetry::Gauge& arraydb_telem_instr_ =           \
-        ::arraydb::telemetry::Registry::Global().gauge(name);            \
-    arraydb_telem_instr_.UpdateMax(v);                                   \
-  } while (false)
-
 #define TELEM_HISTOGRAM_RECORD(name, v)                                  \
   do {                                                                   \
     static ::arraydb::telemetry::Histogram& arraydb_telem_instr_ =       \
@@ -292,7 +285,6 @@ class Registry {
     }                              \
   } while (false)
 #define TELEM_GAUGE_SET(name, v) TELEM_COUNTER_ADD(name, v)
-#define TELEM_GAUGE_MAX(name, v) TELEM_COUNTER_ADD(name, v)
 #define TELEM_HISTOGRAM_RECORD(name, v) TELEM_COUNTER_ADD(name, v)
 
 #endif  // ARRAYDB_TELEMETRY_ENABLED

@@ -78,11 +78,6 @@ double Rng::NextLogNormal(double mu, double sigma) {
   return std::exp(mu + sigma * NextGaussian());
 }
 
-int64_t Rng::NextZipf(int64_t n, double alpha) {
-  ZipfTable table(n, alpha);
-  return table.Sample(*this);
-}
-
 ZipfTable::ZipfTable(int64_t n, double alpha) : alpha_(alpha) {
   ARRAYDB_CHECK_GT(n, 0);
   cdf_.resize(static_cast<size_t>(n));

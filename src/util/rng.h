@@ -42,12 +42,6 @@ class Rng {
   /// Lognormal with parameters of the underlying normal.
   double NextLogNormal(double mu, double sigma);
 
-  /// Samples an integer rank in [0, n) with probability proportional to
-  /// 1/(rank+1)^alpha (Zipf / power law). Uses the precomputed table from
-  /// ZipfTable for repeated draws; this method is O(n) per call and intended
-  /// for one-off draws.
-  int64_t NextZipf(int64_t n, double alpha);
-
  private:
   uint64_t s_[4];
 };

@@ -42,12 +42,6 @@ std::string HumanBytes(double bytes) {
   return StrFormat("%.2f %s", v, kUnits[unit]);
 }
 
-std::string HumanMinutes(double minutes) {
-  if (minutes < 1.0) return StrFormat("%.1f s", minutes * 60.0);
-  if (minutes > 600.0) return StrFormat("%.1f h", minutes / 60.0);
-  return StrFormat("%.2f min", minutes);
-}
-
 std::string PadRight(const std::string& s, size_t width) {
   if (s.size() >= width) return s.substr(0, width);
   return s + std::string(width - s.size(), ' ');

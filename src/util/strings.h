@@ -19,9 +19,6 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 /// Renders a byte count with a human-friendly unit, e.g. "1.50 GB".
 std::string HumanBytes(double bytes);
 
-/// Renders a duration given in minutes, e.g. "2.31 min" or "138.6 s".
-std::string HumanMinutes(double minutes);
-
 /// Left-pads or truncates `s` to exactly `width` characters.
 std::string PadRight(const std::string& s, size_t width);
 std::string PadLeft(const std::string& s, size_t width);

@@ -283,7 +283,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       }
       plan_minutes_charged += charge;
       m.reorg_minutes += charge;
-      engine.RecordReorgMinutes(charge);
       // Fault/recovery deltas. Overhead minutes are real elapsed work on
       // top of the plan's schedule-invariant price; retry traffic feeds
       // the next cycle's bandwidth demand.
@@ -293,7 +292,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       if (recovery > 0.0) {
         m.recovery_overhead_minutes += recovery;
         m.reorg_minutes += recovery;
-        engine.RecordReorgMinutes(recovery);
       }
       const double new_retry_gb = s.retry_gb - charged.retry_gb;
       if (new_retry_gb > 0.0) {

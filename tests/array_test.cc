@@ -195,7 +195,7 @@ TEST(ArrayTest, CopiesOwnTheirChunkDirectory) {
 
 TEST(ChunkTest, SyntheticAndMaterializedModesAreExclusive) {
   Chunk c({0, 0});
-  c.AddCell(Cell{{1, 1}, {1.0}}, 8);
+  c.AppendCell({1, 1}, {1.0}, 8);
   EXPECT_EQ(c.cell_count(), 1);
   EXPECT_EQ(c.bytes(), 8);
   EXPECT_DEATH(c.SetSyntheticSize(10, 80), "CHECK");

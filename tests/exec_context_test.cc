@@ -28,7 +28,6 @@ TEST(ExecContextTest, DefaultsMatchTheKnobDefaults) {
   EXPECT_EQ(context.data_plane_threads, 1);
   EXPECT_EQ(context.join_partition_bits, kDefaultJoinPartitionBits);
   EXPECT_EQ(context.morsel_grain, kDefaultMorselGrainCells);
-  EXPECT_EQ(context.yield, nullptr);
 }
 
 class ExecContextOperatorTest : public ::testing::Test {

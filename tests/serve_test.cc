@@ -1,27 +1,22 @@
 // Serving-layer suite: typed admission rejections (each limit sheds with
 // its own reason, never blocking), priority tiers + time slicing beating
 // the FIFO single queue on interactive tail latency, the virtual-time
-// machine's determinism, the session contract (1 session vs N concurrent
-// sessions produce bit-identical per-query results), slice accounting, and
-// the YieldPoint gate batch work parks on. Runs under the TSan CI job:
+// machine's determinism, the session contract (1 session vs N sessions per
+// tier produce identical completion records; concurrent submitters are
+// each served once), and slice accounting. Runs under the TSan CI job:
 // SessionServer::Submit is exercised from concurrent threads.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "array/array.h"
-#include "exec/exec_context.h"
-#include "exec/morsel.h"
-#include "exec/operators.h"
 #include "serve/serve.h"
-#include "workload/sample_data.h"
 
 namespace arraydb::serve {
 namespace {
@@ -111,6 +106,60 @@ TEST(AdmissionTest, InFlightBytesLimitSheds) {
   EXPECT_DOUBLE_EQ(result.peak_inflight_gb, 9.0);
   // Completed requests release their bytes: a later submission readmits.
   EXPECT_EQ(result.completed.size(), 2u);
+}
+
+// Malformed scan_gb counts as 0 GB in flight. Unclamped, a NaN would make
+// every later cap comparison false and a negative value would buy
+// headroom.
+TEST(AdmissionTest, NanScanBytesKeepTheInFlightCap) {
+  ServerOptions options = BaseOptions(1);
+  options.admission.max_inflight_gb = 1.0;
+  SessionServer server(options);
+  const int session = server.OpenSession(Tier::kInteractive);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(server.Submit(session, MakeRequest("nan", 1.0, nan)),
+            Admission::kAdmitted);
+  EXPECT_EQ(server.Submit(session, MakeRequest("huge", 1.0, /*gb=*/1000.0)),
+            Admission::kRejectedBytesInFlight);
+  const ServeResult result = server.Finish();
+  EXPECT_EQ(result.peak_inflight_gb, 0.0);
+}
+
+TEST(AdmissionTest, NegativeScanBytesBuyNoHeadroom) {
+  ServerOptions options = BaseOptions(1);
+  options.admission.max_inflight_gb = 1.0;
+  SessionServer server(options);
+  const int session = server.OpenSession(Tier::kInteractive);
+  EXPECT_EQ(server.Submit(session, MakeRequest("neg", 1.0, /*gb=*/-5.0)),
+            Admission::kAdmitted);
+  EXPECT_EQ(server.Submit(session, MakeRequest("one", 1.0, /*gb=*/1.0)),
+            Admission::kAdmitted);
+  EXPECT_EQ(server.Submit(session, MakeRequest("more", 1.0, /*gb=*/0.5)),
+            Admission::kRejectedBytesInFlight);
+  const ServeResult result = server.Finish();
+  EXPECT_DOUBLE_EQ(result.peak_inflight_gb, 1.0);
+}
+
+// A NaN shed fraction sheds nothing: the degraded batch tier keeps its
+// configured queue limit.
+TEST(AdmissionTest, NanDegradedShedFractionShedsNothing) {
+  ServerOptions options = BaseOptions(1);
+  options.degraded = true;
+  options.admission.max_tier_queue = 2;
+  options.admission.degraded_batch_shed_fraction =
+      std::numeric_limits<double>::quiet_NaN();
+  SessionServer server(options);
+  const int session = server.OpenSession(Tier::kBatch);
+  // "a" starts on the worker; "b" and "c" fill the tier queue of 2.
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_EQ(server.Submit(session, MakeRequest(name, 10.0)),
+              Admission::kAdmitted)
+        << name;
+  }
+  EXPECT_EQ(server.Submit(session, MakeRequest("d", 10.0)),
+            Admission::kRejectedTierSaturated);
+  const ServeResult result = server.Finish();
+  EXPECT_EQ(result.tier(Tier::kBatch).rejected_tier_saturated, 1);
 }
 
 TEST(AdmissionTest, NamesAreStable) {
@@ -241,150 +290,82 @@ TEST(DeterminismTest, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(a.peak_inflight_gb, b.peak_inflight_gb);
 }
 
-// The session contract: per-query results are bit-identical whether the
-// queries arrive through one session or N concurrent ones, at any worker
-// and compute-thread setting. Compute closures run real operators.
-class SessionDeterminismTest : public ::testing::Test {
- protected:
-  SessionDeterminismTest()
-      : modis_(workload::MakeSmallModisBand(/*days=*/4, /*seed=*/2014)) {}
+// The session contract at the virtual level: at the same worker count,
+// the same requests give the same completion records whether they arrive
+// through one session per tier or through several, and concurrent
+// submitters get every request served exactly once.
+constexpr int kSessionRequests = 24;
 
-  exec::CellBox BoxFor(int i) const {
-    exec::CellBox box;
-    for (const array::DimensionDesc& dim : modis_.schema().dims()) {
-      box.lo.push_back(dim.lo);
-      // Deterministic variety: successive boxes widen toward the full
-      // extent (and may exceed it — the operator clips).
-      box.hi.push_back(dim.lo + dim.Extent() / 2 + i);
-    }
-    return box;
-  }
-
-  Request ComputeRequest(int i) {
-    Request request = MakeRequest("q" + std::to_string(i), 0.1 * (1 + i % 5),
-                                  0.0, 0.01 * i);
-    const exec::CellBox box = BoxFor(i);
-    const array::Array* array = &modis_;
-    request.compute = [array, box](const exec::ExecContext& context) {
-      return static_cast<double>(exec::FilterBoxCount(*array, box, context));
-    };
-    return request;
-  }
-
-  std::map<std::string, double> Serve(int sessions_per_tier, int workers,
-                                      int compute_threads,
-                                      int submit_threads) {
-    ServerOptions options = BaseOptions(workers);
-    options.compute_threads = compute_threads;
-    SessionServer server(options);
-    std::vector<int> sessions;
-    for (int s = 0; s < sessions_per_tier; ++s) {
-      sessions.push_back(server.OpenSession(Tier::kInteractive));
-      sessions.push_back(server.OpenSession(Tier::kBatch));
-    }
-    constexpr int kRequests = 24;
-    if (submit_threads <= 1) {
-      for (int i = 0; i < kRequests; ++i) {
-        EXPECT_TRUE(Admitted(server.Submit(
-            sessions[static_cast<size_t>(i) % sessions.size()],
-            ComputeRequest(i))));
-      }
-    } else {
-      // Concurrent submitters (the TSan-relevant path). Arrival times are
-      // explicit in the requests, so admission order races only against
-      // the virtual clock clamp — values must still be identical.
-      std::vector<std::thread> threads;
-      for (int t = 0; t < submit_threads; ++t) {
-        threads.emplace_back([&, t] {
-          for (int i = t; i < kRequests; i += submit_threads) {
-            server.Submit(sessions[static_cast<size_t>(i) % sessions.size()],
-                          ComputeRequest(i));
-          }
-        });
-      }
-      for (auto& thread : threads) thread.join();
-    }
-    const ServeResult result = server.Finish();
-    std::map<std::string, double> values;
-    for (const Completed& rec : result.completed) {
-      EXPECT_TRUE(rec.has_value) << rec.name;
-      values[rec.name] = rec.value;
-    }
-    return values;
-  }
-
-  array::Array modis_;
-};
-
-TEST_F(SessionDeterminismTest, OneSessionVsManyBitIdentical) {
-  // Ground truth: direct sequential execution, no server involved.
-  std::map<std::string, double> want;
-  for (int i = 0; i < 24; ++i) {
-    want["q" + std::to_string(i)] = static_cast<double>(
-        exec::FilterBoxCount(modis_, BoxFor(i), exec::ExecContext{}));
-  }
-  const auto one = Serve(/*sessions_per_tier=*/1, /*workers=*/1,
-                         /*compute_threads=*/1, /*submit_threads=*/1);
-  EXPECT_EQ(one, want);
-  const auto many = Serve(/*sessions_per_tier=*/4, /*workers=*/3,
-                          /*compute_threads=*/4, /*submit_threads=*/1);
-  EXPECT_EQ(many, want);
-  const auto racing = Serve(/*sessions_per_tier=*/4, /*workers=*/2,
-                            /*compute_threads=*/2, /*submit_threads=*/4);
-  EXPECT_EQ(racing, want);
+Request SessionRequest(int i) {
+  return MakeRequest("q" + std::to_string(i), 0.1 * (1 + i % 5),
+                     0.25 * (i % 3), 0.01 * i);
 }
 
-// YieldPoint semantics: a paused gate parks morsel workers at the pickup
-// counter (no morsel starts while closed — guaranteed by the gate, not by
-// timing), Resume releases them, and Pause/Resume nest.
-TEST(YieldPointTest, PausedGateParksMorselWorkers) {
-  exec::YieldPoint gate;
-  gate.Pause();
-  gate.Pause();  // Nested.
-  EXPECT_TRUE(gate.paused());
-
-  std::atomic<int64_t> processed{0};
-  exec::ExecContext context;
-  context.data_plane_threads = 2;
-  context.morsel_grain = 8;
-  context.yield = &gate;
-  const exec::MorselScheduler scheduler(context);
-  std::thread runner([&] {
-    scheduler.Run(exec::MorselScheduler::Carve(64, 8),
-                  [&](size_t, int64_t begin, int64_t end) {
-                    processed.fetch_add(end - begin);
-                  });
-  });
-  // While the gate is closed no morsel can have run; one Resume is not
-  // enough (the pause nested twice).
-  gate.Resume();
-  EXPECT_TRUE(gate.paused());
-  EXPECT_EQ(processed.load(), 0);
-  gate.Resume();
-  runner.join();
-  EXPECT_FALSE(gate.paused());
-  EXPECT_EQ(processed.load(), 64);
+ServeResult ServeThroughSessions(int sessions_per_tier, int workers,
+                                 int submit_threads) {
+  SessionServer server(BaseOptions(workers));
+  std::vector<int> sessions;
+  for (int s = 0; s < sessions_per_tier; ++s) {
+    sessions.push_back(server.OpenSession(Tier::kInteractive));
+    sessions.push_back(server.OpenSession(Tier::kBatch));
+  }
+  // Request i lands in a session of tier i % 2 at every sessions_per_tier.
+  const auto submit = [&](int i) {
+    return server.Submit(sessions[static_cast<size_t>(i) % sessions.size()],
+                         SessionRequest(i));
+  };
+  if (submit_threads <= 1) {
+    for (int i = 0; i < kSessionRequests; ++i) {
+      EXPECT_TRUE(Admitted(submit(i))) << i;
+    }
+  } else {
+    // Concurrent submitters (the TSan-relevant path): admission order
+    // races against the virtual clock clamp, so only the served set is
+    // fixed, not the timings.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < submit_threads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = t; i < kSessionRequests; i += submit_threads) {
+          EXPECT_TRUE(Admitted(submit(i))) << i;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  return server.Finish();
 }
 
-TEST(YieldPointTest, OpenGateIsTransparent) {
-  exec::YieldPoint gate;
-  EXPECT_FALSE(gate.paused());
-  gate.Wait();  // Must not block.
-  exec::ExecContext context;
-  context.yield = &gate;
-  const exec::MorselScheduler scheduler(context);
-  std::atomic<int64_t> processed{0};
-  scheduler.Run(exec::MorselScheduler::Carve(32, 8),
-                [&](size_t, int64_t begin, int64_t end) {
-                  processed.fetch_add(end - begin);
-                });
-  EXPECT_EQ(processed.load(), 32);
+TEST(SessionDeterminismTest, OneSessionVsManyGiveIdenticalRecords) {
+  for (const int workers : {1, 3}) {
+    const ServeResult one = ServeThroughSessions(1, workers, 1);
+    const ServeResult many = ServeThroughSessions(4, workers, 1);
+    ASSERT_EQ(one.completed.size(), static_cast<size_t>(kSessionRequests));
+    ASSERT_EQ(many.completed.size(), one.completed.size());
+    for (size_t i = 0; i < one.completed.size(); ++i) {
+      const Completed& a = one.completed[i];
+      const Completed& b = many.completed[i];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.tier, b.tier);
+      EXPECT_EQ(a.arrival_minutes, b.arrival_minutes);
+      EXPECT_EQ(a.start_minutes, b.start_minutes);
+      EXPECT_EQ(a.finish_minutes, b.finish_minutes);
+      EXPECT_EQ(a.latency_minutes, b.latency_minutes);
+      EXPECT_EQ(a.slices, b.slices);
+    }
+    EXPECT_EQ(one.makespan_minutes, many.makespan_minutes);
+    EXPECT_EQ(one.peak_inflight_gb, many.peak_inflight_gb);
+  }
 }
 
-TEST(YieldPointTest, ServerContextsCarryTheGate) {
-  SessionServer server(BaseOptions(1));
-  EXPECT_EQ(server.interactive_context().yield, nullptr);
-  EXPECT_EQ(server.batch_context().yield, &server.yield_gate());
+TEST(SessionDeterminismTest, ConcurrentSubmittersServeEveryRequestOnce) {
+  const ServeResult racing = ServeThroughSessions(4, 2, /*submit_threads=*/4);
+  EXPECT_EQ(racing.tier(Tier::kInteractive).admitted +
+                racing.tier(Tier::kBatch).admitted,
+            kSessionRequests);
+  std::map<std::string, int> served;
+  for (const Completed& rec : racing.completed) served[rec.name]++;
+  ASSERT_EQ(served.size(), static_cast<size_t>(kSessionRequests));
+  for (const auto& [name, count] : served) EXPECT_EQ(count, 1) << name;
 }
 
 }  // namespace
