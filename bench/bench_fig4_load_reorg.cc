@@ -43,9 +43,6 @@ int main() {
   for (const auto kind : core::AllPartitionerKinds()) {
     workload::RunnerConfig cfg = bench::PartitionerExperimentConfig(kind);
     cfg.run_queries = false;
-    // Chunk-parallel ingest (placement prewarm sharded over all cores);
-    // metrics are identical to the sequential mode by construction.
-    cfg.ingest.threads = 0;
     workload::WorkloadRunner runner(cfg);
     const auto rm = runner.Run(modis);
     const auto ra = runner.Run(ais);

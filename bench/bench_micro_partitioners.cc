@@ -1,9 +1,8 @@
 // Ablation microbenchmarks: per-operation costs of every partitioner —
 // chunk placement, lookup, and scale-out planning — on a populated
-// mid-size grid, plus the chunk-parallel placement prewarm across thread
-// counts. These are the operations on the coordinator's critical path; the
-// paper's schemes trade richer placement logic (tree descent, curve ranks)
-// for better layouts.
+// mid-size grid. These are the operations on the coordinator's critical
+// path; the paper's schemes trade richer placement logic (tree descent,
+// curve ranks) for better layouts.
 //
 // Emits BENCH_partitioners.json (ns/op + items/s) for cross-PR tracking.
 
@@ -15,7 +14,6 @@
 #include "array/schema.h"
 #include "bench/gbench_json.h"
 #include "cluster/cluster.h"
-#include "core/hilbert_partitioner.h"
 #include "core/partitioner_factory.h"
 #include "util/rng.h"
 
@@ -100,36 +98,6 @@ void BM_PlanScaleOut(benchmark::State& state) {
   state.SetLabel(core::PartitionerKindName(kind));
 }
 
-// Chunk-parallel placement prewarm (the ingest fast path): batched Hilbert
-// rank computation sharded over the thread pool. Thread counts beyond the
-// machine's core count degenerate gracefully; results are identical for
-// every thread count by construction.
-void BM_PrewarmPlacement(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto schema = BenchSchema();
-  util::Rng rng(21);
-  std::vector<array::ChunkInfo> batch;
-  batch.reserve(4096);
-  for (int i = 0; i < 4096; ++i) {
-    array::ChunkInfo info;
-    info.coords = {static_cast<int64_t>(rng.NextBounded(32)),
-                   static_cast<int64_t>(rng.NextBounded(32)),
-                   static_cast<int64_t>(rng.NextBounded(32))};
-    info.bytes = 1 << 20;
-    batch.push_back(info);
-  }
-  for (auto _ : state) {
-    // Fresh partitioner per iteration so the rank memo starts cold.
-    state.PauseTiming();
-    core::HilbertPartitioner partitioner(schema, 4);
-    state.ResumeTiming();
-    partitioner.PrewarmPlacement(batch, threads);
-    benchmark::DoNotOptimize(partitioner);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.size()));
-}
-
 void AllKinds(benchmark::internal::Benchmark* b) {
   for (const auto kind : core::AllPartitionerKinds()) {
     b->Arg(static_cast<int>(kind));
@@ -139,7 +107,6 @@ void AllKinds(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_PlaceChunk)->Apply(AllKinds);
 BENCHMARK(BM_Locate)->Apply(AllKinds);
 BENCHMARK(BM_PlanScaleOut)->Apply(AllKinds)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PrewarmPlacement)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -27,7 +27,6 @@ workload::RunResult RunSchedule(workload::ReorgSchedule schedule,
       core::PartitionerKind::kHilbertCurve);
   cfg.reorg.schedule = schedule;
   cfg.reorg.increment_gb = increment_gb;
-  cfg.ingest.threads = 0;  // Auto: exercise the parallel prewarm overlap.
   workload::AisWorkload ais;
   return workload::WorkloadRunner(cfg).Run(ais);
 }
@@ -42,7 +41,6 @@ workload::RunResult RunStaircase(workload::ReorgSchedule schedule) {
   cfg.policy = workload::ScaleOutPolicy::kStaircase;
   cfg.max_nodes = 64;  // The staircase decides on its own.
   cfg.reorg.schedule = schedule;
-  cfg.ingest.threads = 0;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   workload::AisConfig heavy;
   heavy.gb_per_month = 25.0;  // ~1 TB over the 10 quarterly cycles.

@@ -37,7 +37,6 @@ workload::RunResult RunServing(const serve::SchedulerPolicy& policy,
   cfg.policy = workload::ScaleOutPolicy::kStaircase;
   cfg.max_nodes = 64;
   cfg.reorg.schedule = workload::ReorgSchedule::kPaced;
-  cfg.ingest.threads = 0;
   cfg.cost_params.net_minutes_per_gb = 1.0;
   cfg.serving.enabled = true;
   cfg.serving.policy = policy;

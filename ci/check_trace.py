@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Trace artifact gate: validate a Chrome trace-event JSON file.
 
-Checks that the file the telemetry subsystem emitted (ARRAYDB_TRACE=<path>,
-or RunnerConfig::trace_path) is well-formed:
+Checks that the file the telemetry subsystem emitted (ARRAYDB_TRACE=<path>)
+is well-formed:
 
   * parses as JSON, either ``{"traceEvents": [...]}`` or a bare event list
     (both shapes load in chrome://tracing and Perfetto);

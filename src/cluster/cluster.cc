@@ -73,6 +73,23 @@ util::Status Cluster::ValidatePlan(const MovePlan& plan) const {
   return util::Status::Ok();
 }
 
+void Cluster::FlipOwner(const array::Coordinates& coords, NodeId to) {
+  ChunkRecord& rec = chunk_map_.at(coords);
+  node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
+  node_chunks_[static_cast<size_t>(rec.node)] -= 1;
+  rec.node = to;
+  node_bytes_[static_cast<size_t>(to)] += rec.bytes;
+  node_chunks_[static_cast<size_t>(to)] += 1;
+}
+
+void Cluster::ReleaseReorg() {
+  pending_moves_.clear();
+  pending_cursor_ = 0;
+  in_flight_end_ = 0;
+  source_replicas_.clear();
+  ++reorg_epoch_;
+}
+
 util::Status Cluster::Apply(const MovePlan& plan) {
   if (reorg_active()) {
     return util::FailedPrecondition(
@@ -81,12 +98,7 @@ util::Status Cluster::Apply(const MovePlan& plan) {
   // Validate the whole plan before mutating anything.
   if (auto status = ValidatePlan(plan); !status.ok()) return status;
   for (const auto& m : plan.moves()) {
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.to;
-    node_bytes_[static_cast<size_t>(m.to)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.to)] += 1;
+    FlipOwner(m.coords, m.to);
   }
   return util::Status::Ok();
 }
@@ -141,12 +153,7 @@ util::Status Cluster::CommitIncrement() {
   }
   for (size_t i = pending_cursor_; i < in_flight_end_; ++i) {
     const auto& m = pending_moves_[i];
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.to;
-    node_bytes_[static_cast<size_t>(m.to)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.to)] += 1;
+    FlipOwner(m.coords, m.to);
   }
   pending_cursor_ = in_flight_end_;
   ++reorg_epoch_;
@@ -161,21 +168,8 @@ util::Status Cluster::FinishApply() {
     return util::FailedPrecondition(
         "reorganization has uncommitted moves");
   }
-  pending_moves_.clear();
-  pending_cursor_ = 0;
-  in_flight_end_ = 0;
-  source_replicas_.clear();
-  ++reorg_epoch_;
+  ReleaseReorg();
   return util::Status::Ok();
-}
-
-void Cluster::AbortReorg() {
-  if (!reorg_active()) return;
-  pending_moves_.clear();
-  pending_cursor_ = 0;
-  in_flight_end_ = 0;
-  source_replicas_.clear();
-  ++reorg_epoch_;
 }
 
 util::Status Cluster::RollbackReorg() {
@@ -189,18 +183,9 @@ util::Status Cluster::RollbackReorg() {
   // is a metadata flip, not a data transfer.
   for (size_t i = 0; i < pending_cursor_; ++i) {
     const auto& m = pending_moves_[i];
-    auto& rec = chunk_map_.at(m.coords);
-    node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-    node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-    rec.node = m.from;
-    node_bytes_[static_cast<size_t>(m.from)] += rec.bytes;
-    node_chunks_[static_cast<size_t>(m.from)] += 1;
+    FlipOwner(m.coords, m.from);
   }
-  pending_moves_.clear();
-  pending_cursor_ = 0;
-  in_flight_end_ = 0;
-  source_replicas_.clear();
-  ++reorg_epoch_;
+  ReleaseReorg();
   return util::Status::Ok();
 }
 
@@ -270,12 +255,7 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
       // Revert the committed flip onto the retained source replica and
       // re-stage the move (after the surviving pending moves, preserving
       // their order) toward the new destination.
-      auto& rec = chunk_map_.at(m.coords);
-      node_bytes_[static_cast<size_t>(rec.node)] -= rec.bytes;
-      node_chunks_[static_cast<size_t>(rec.node)] -= 1;
-      rec.node = m.from;
-      node_bytes_[static_cast<size_t>(m.from)] += rec.bytes;
-      node_chunks_[static_cast<size_t>(m.from)] += 1;
+      FlipOwner(m.coords, m.from);
       stats.reverted_committed += 1;
       stats.reverted_bytes += m.bytes;
       restaged.push_back(m);
@@ -357,19 +337,6 @@ int64_t Cluster::NodeChunkCount(NodeId node) const {
   ARRAYDB_CHECK_GE(node, 0);
   ARRAYDB_CHECK_LT(node, num_nodes());
   return node_chunks_[static_cast<size_t>(node)];
-}
-
-std::vector<ChunkRecord> Cluster::ChunksOnNode(NodeId node) const {
-  std::vector<ChunkRecord> out;
-  // arraydb-lint: ordered-extract -- copied out, then sorted below.
-  for (const auto& [coords, rec] : chunk_map_) {
-    if (rec.node == node) out.push_back(rec);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ChunkRecord& a, const ChunkRecord& b) {
-              return array::CoordinatesLess(a.coords, b.coords);
-            });
-  return out;
 }
 
 std::vector<ChunkRecord> Cluster::AllChunks() const {

@@ -74,8 +74,8 @@ class Cluster : public PlacementView {
   // ownership of the in-flight slice — per-node byte/chunk accounting and
   // OwnerOf reflect the flip immediately. FinishApply, callable once every
   // move has committed, releases the reorganization: source replicas are
-  // dropped and the query-routing epoch advances. AbortReorg discards all
-  // uncommitted work (committed increments stay committed).
+  // dropped and the query-routing epoch advances. RollbackReorg (below)
+  // reverts the whole reorganization instead.
 
   /// Stages `plan` for incremental application. Runs the same validation as
   /// Apply; fails if a reorganization is already active. An empty plan is a
@@ -95,11 +95,6 @@ class Cluster : public PlacementView {
   /// Releases a fully committed reorganization (drops source replicas,
   /// advances the routing epoch). Fails while moves remain uncommitted.
   util::Status FinishApply();
-
-  /// Drops any staged/uncommitted reorganization state. Idempotent.
-  /// Committed increments stay committed; see RollbackReorg for the full
-  /// revert.
-  void AbortReorg();
 
   // -- Failure recovery (src/fault/) ----------------------------------------
   //
@@ -150,7 +145,8 @@ class Cluster : public PlacementView {
   /// True when any staged move's source is `node`.
   bool ReorgSourcedFromNode(NodeId node) const;
 
-  /// True between BeginApply (of a non-empty plan) and FinishApply/Abort.
+  /// True between BeginApply (of a non-empty plan) and FinishApply or
+  /// RollbackReorg.
   bool reorg_active() const { return !pending_moves_.empty(); }
 
   /// True between AdvanceIncrement and CommitIncrement.
@@ -204,9 +200,6 @@ class Cluster : public PlacementView {
   /// Number of chunks stored on `node`.
   int64_t NodeChunkCount(NodeId node) const;
 
-  /// All chunk records on one node, in deterministic (lexicographic) order.
-  std::vector<ChunkRecord> ChunksOnNode(NodeId node) const;
-
   /// All chunk records, in deterministic order.
   std::vector<ChunkRecord> AllChunks() const;
 
@@ -219,6 +212,11 @@ class Cluster : public PlacementView {
 
  private:
   util::Status ValidatePlan(const MovePlan& plan) const;
+  /// Moves a stored chunk's ownership (and its byte and chunk counts) to
+  /// `to`. The one place an ownership flip is written.
+  void FlipOwner(const array::Coordinates& coords, NodeId to);
+  /// Clears the staging state and advances the routing epoch.
+  void ReleaseReorg();
 
   double node_capacity_gb_;
   std::vector<int64_t> node_bytes_;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace arraydb::core {
@@ -24,9 +23,6 @@ ElasticEngine::ElasticEngine(std::unique_ptr<Partitioner> partitioner,
 InsertStats ElasticEngine::IngestBatch(
     const std::vector<array::ChunkInfo>& batch) {
   InsertStats stats;
-  if (ingest_threads_ > 1) {
-    partitioner_->PrewarmPlacement(batch, ingest_threads_);
-  }
   std::vector<std::pair<cluster::NodeId, int64_t>> destinations;
   destinations.reserve(batch.size());
   for (const auto& chunk : batch) {
@@ -41,10 +37,6 @@ InsertStats ElasticEngine::IngestBatch(
   stats.chunks = static_cast<int64_t>(batch.size());
   stats.minutes = cost_model_.InsertMinutes(destinations, kCoordinator).minutes;
   return stats;
-}
-
-void ElasticEngine::set_ingest_threads(int threads) {
-  ingest_threads_ = util::ResolveThreadCount(threads);
 }
 
 ReorgStats ElasticEngine::ScaleOut(int nodes_to_add) {

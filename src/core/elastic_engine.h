@@ -49,19 +49,8 @@ class ElasticEngine {
                 double node_capacity_gb,
                 cluster::CostParams cost_params = cluster::CostParams());
 
-  /// Number of worker threads the ingest path may use for the partitioner's
-  /// placement prewarm (chunk-parallel rank computation). Placement
-  /// decisions themselves stay sequential, so results are identical for
-  /// every thread count. Default 1 (fully sequential); 0 = auto — resolved
-  /// immediately through util::ResolveThreadCount, so ingest_threads()
-  /// always reports the effective worker count.
-  void set_ingest_threads(int threads);
-  int ingest_threads() const { return ingest_threads_; }
-
   /// Ingests one batch: the coordinator (node 0) routes each chunk through
-  /// the partitioner and records it in the cluster. With ingest_threads > 1
-  /// the partitioner first precomputes per-chunk placement state in
-  /// parallel (ordered merge), then the routing loop runs as usual.
+  /// the partitioner, in batch order, and records it in the cluster.
   InsertStats IngestBatch(const std::vector<array::ChunkInfo>& batch);
 
   /// Adds `nodes_to_add` empty nodes, asks the partitioner for a
@@ -85,7 +74,6 @@ class ElasticEngine {
   std::unique_ptr<Partitioner> partitioner_;
   cluster::Cluster cluster_;
   cluster::CostModel cost_model_;
-  int ingest_threads_ = 1;
 };
 
 }  // namespace arraydb::core

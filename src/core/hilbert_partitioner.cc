@@ -4,7 +4,6 @@
 
 #include "hilbert/hilbert.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace arraydb::core {
 
@@ -55,32 +54,7 @@ HilbertPartitioner::HilbertPartitioner(const array::ArraySchema& schema,
 
 uint64_t HilbertPartitioner::RankOf(
     const array::Coordinates& chunk_coords) const {
-  const auto it = rank_cache_.find(chunk_coords);
-  if (it != rank_cache_.end()) return it->second;
-  const uint64_t rank =
-      codec_.RankChecked(projection_.Project(chunk_coords), extents_);
-  rank_cache_.emplace(chunk_coords, rank);
-  return rank;
-}
-
-void HilbertPartitioner::PrewarmPlacement(
-    const std::vector<array::ChunkInfo>& batch, int num_threads) {
-  // Parallel phase: each shard writes only its own slots of `ranks`, so the
-  // merge below observes one fixed, order-independent result.
-  std::vector<uint64_t> ranks(batch.size(), 0);
-  util::ParallelFor(
-      static_cast<int64_t>(batch.size()), num_threads,
-      [this, &batch, &ranks](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          ranks[static_cast<size_t>(i)] = codec_.RankChecked(
-              projection_.Project(batch[static_cast<size_t>(i)].coords),
-              extents_);
-        }
-      });
-  // Ordered merge into the memo, on the calling thread only.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    rank_cache_.emplace(batch[i].coords, ranks[i]);
-  }
+  return codec_.RankChecked(projection_.Project(chunk_coords), extents_);
 }
 
 size_t HilbertPartitioner::RangeIndexOf(uint64_t rank) const {

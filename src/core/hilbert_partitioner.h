@@ -12,7 +12,6 @@
 #define ARRAYDB_CORE_HILBERT_PARTITIONER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/partitioner.h"
@@ -40,14 +39,8 @@ class HilbertPartitioner final : public Partitioner {
                                  int old_node_count) override;
   NodeId Locate(const array::Coordinates& chunk_coords) const override;
 
-  /// Computes the curve ranks of `batch` in parallel (contiguous shards,
-  /// ordered merge into the rank memo), so PlaceChunk/PlanScaleOut never
-  /// re-derive ranks for already-seen chunks. Placement-neutral.
-  void PrewarmPlacement(const std::vector<array::ChunkInfo>& batch,
-                        int num_threads) override;
-
-  /// Curve rank of a chunk (exposed for tests and diagnostics); memoized
-  /// per chunk position.
+  /// Curve rank of a chunk (exposed for tests and diagnostics): a pure,
+  /// table-driven codec call on the projected chunk position.
   uint64_t RankOf(const array::Coordinates& chunk_coords) const;
 
   /// Number of curve ranges (== number of nodes).
@@ -68,12 +61,6 @@ class HilbertPartitioner final : public Partitioner {
   hilbert::HilbertCodec codec_;  // Sized to extents_ once, reused per rank.
   uint64_t curve_length_;
   std::vector<Range> ranges_;  // Sorted by start; a partition of the curve.
-  // Chunk position -> curve rank memo. Guarded by the engine's sequential
-  // use of the partitioner; PrewarmPlacement only writes it from the
-  // calling thread after its parallel phase.
-  mutable std::unordered_map<array::Coordinates, uint64_t,
-                             array::CoordinatesHash>
-      rank_cache_;
 };
 
 }  // namespace arraydb::core

@@ -66,12 +66,9 @@ class Partitioner {
   /// Valid for chunks previously placed (directly or via scale-out).
   virtual NodeId Locate(const array::Coordinates& chunk_coords) const = 0;
 
-  /// Optional batch hook called by the engine before routing `batch` chunk
-  /// by chunk: precompute whatever placement-independent per-chunk state the
-  /// partitioner wants (e.g. curve ranks), using up to `num_threads`
-  /// workers. Must not change any placement decision — the subsequent
-  /// PlaceChunk calls stay sequential, so results are deterministic and
-  /// identical for every thread count. Default: no-op.
+  /// No-op batch hook: no partitioner overrides it and nothing in src/
+  /// calls it, because placement runs on the calling thread. It stays only
+  /// because the wall-clock benchmark driver (perfbench) times a call to it.
   virtual void PrewarmPlacement(const std::vector<array::ChunkInfo>& batch,
                                 int num_threads) {
     (void)batch;

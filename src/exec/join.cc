@@ -63,8 +63,16 @@ std::optional<RankKeySpace> MakeRankKeySpace(
       }
     }
   }
+  // Extents come from unsigned differences, which cannot overflow for any
+  // int64 bbox. The rank kernel shifts coordinates into uint32 lanes, so a
+  // dimension wider than 2^32 cells takes the set fallback.
   array::Coordinates extents(ndims);
-  for (size_t d = 0; d < ndims; ++d) extents[d] = hi[d] - space.lo[d] + 1;
+  for (size_t d = 0; d < ndims; ++d) {
+    const uint64_t span =
+        static_cast<uint64_t>(hi[d]) - static_cast<uint64_t>(space.lo[d]);
+    if (span >= (uint64_t{1} << 32)) return std::nullopt;
+    extents[d] = static_cast<int64_t>(span) + 1;
+  }
   const int bits = hilbert::BitsForExtents(extents);
   auto codec = hilbert::HilbertCodec::Create(static_cast<int>(ndims), bits);
   if (!codec.ok()) return std::nullopt;  // Rank or bit budget exceeded.

@@ -10,7 +10,7 @@
 // consecutive runs of the columnar storage, so each worker streams
 // contiguous memory.
 //
-// Determinism contract (the same one the ingest prewarm and the SIMD
+// Determinism contract (the same one the reorg copy and the SIMD
 // lane-accumulation honor):
 //   * The morsel decomposition is a pure function of the work domain and
 //     the grain size — never of the thread count or the schedule.

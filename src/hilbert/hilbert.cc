@@ -1,5 +1,6 @@
 #include "hilbert/hilbert.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -291,9 +292,9 @@ int BitsForExtents(const array::Coordinates& extents) {
     ARRAYDB_CHECK_GT(e, 0);
     if (e > max_extent) max_extent = e;
   }
-  int bits = 1;
-  while ((1LL << bits) < max_extent) ++bits;
-  return bits;
+  // ceil(log2(max_extent)), floored at 1; defined for every positive int64.
+  return std::max(1, static_cast<int>(std::bit_width(
+                         static_cast<uint64_t>(max_extent) - 1)));
 }
 
 uint64_t HilbertRank(const array::Coordinates& coords,

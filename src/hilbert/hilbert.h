@@ -118,7 +118,9 @@ uint64_t HilbertIndexReference(const std::vector<uint32_t>& point, int bits);
 /// Inverse of HilbertIndex.
 std::vector<uint32_t> HilbertPoint(uint64_t index, int num_dims, int bits);
 
-/// Number of bits needed so a hypercube of side 2^bits covers `extents`.
+/// Number of bits needed so a hypercube of side 2^bits covers `extents`:
+/// ceil(log2(max extent)), at least 1. Defined for every positive int64
+/// extent (63 bits past 2^62).
 int BitsForExtents(const array::Coordinates& extents);
 
 /// Total order over a rectangular grid with per-dimension `extents`:

@@ -94,8 +94,9 @@ struct ReorgOptions {
   /// move rule is reported in IncrementStats/ReorgSummary.
   std::function<double(const BudgetRequest&)> budget_fn;
   /// Worker threads for the simulated increment copy; 0 = auto
-  /// (util::ResolveThreadCount).
-  int copy_threads = 0;
+  /// (util::ResolveThreadCount). Results are identical for every count, so
+  /// the default runs the copy sequentially on the calling thread.
+  int copy_threads = 1;
   /// Deterministic fault source consulted per transfer attempt (and for
   /// scheduled node deaths) during Step. Null — the default — disables
   /// injection entirely and keeps Step bit-identical to the fault-free

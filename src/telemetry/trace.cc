@@ -186,10 +186,10 @@ struct EnvTraceInit {
   EnvTraceInit() {
     const char* path = std::getenv("ARRAYDB_TRACE");
     if (path != nullptr && *path != '\0') {
-      static std::string trace_path;
-      trace_path = path;
+      static std::string env_path;
+      env_path = path;
       StartTracing();
-      std::atexit([] { WriteTrace(trace_path); });
+      std::atexit([] { WriteTrace(env_path); });
     }
   }
 };

@@ -10,11 +10,10 @@
 // construction.
 //
 // Activation:
-//   * RunnerConfig::trace_path — WorkloadRunner scopes tracing around Run()
-//     and writes the file itself, or
 //   * ARRAYDB_TRACE=<path> in the environment — collection starts at
 //     process start and the file is written at exit (zero-code tracing for
-//     the benches and examples).
+//     the benches and examples; the way CI captures a trace), or
+//   * a ScopedTracing window in code, serialized with WriteTrace().
 //
 // Tracing is observe-only under the same contract as the metrics registry:
 // results are bit-identical with tracing on, off, or compiled out. The

@@ -1,11 +1,11 @@
 // A small fixed-size thread pool plus a deterministic ParallelFor helper.
 //
-// The pool exists for the chunk-parallel ingest/placement fast path: rank
-// computation and other per-chunk work is sharded into contiguous index
-// ranges, each shard writes only its own output slots, and the caller
-// blocks until every shard has finished (ordered merge). Results are
-// bit-identical to the sequential execution regardless of thread count or
-// scheduling.
+// The pool serves the data plane's morsels (exec::MorselScheduler) and the
+// reorg engine's simulated increment copy (ParallelFor). Work is sharded
+// into contiguous index ranges, each shard writes only its own output
+// slots, and the caller blocks until every shard has finished (ordered
+// merge). Results are bit-identical to the sequential execution regardless
+// of thread count or scheduling.
 
 #ifndef ARRAYDB_UTIL_THREAD_POOL_H_
 #define ARRAYDB_UTIL_THREAD_POOL_H_
@@ -71,9 +71,9 @@ void ParallelFor(int64_t n, int max_shards,
 /// The one place a configured thread-count knob is interpreted: a positive
 /// value is taken verbatim; zero (or negative) means "auto" and resolves to
 /// std::thread::hardware_concurrency(), clamped to at least 1 for platforms
-/// that report 0. Every consumer of a `* _threads` config field
-/// (RunnerConfig::ingest_threads, reorg::ReorgOptions::copy_threads,
-/// ElasticEngine::set_ingest_threads) resolves through this helper.
+/// that report 0. Every consumer of a `*_threads` config field
+/// (exec::ExecContext::data_plane_threads, reorg::ReorgOptions::copy_threads)
+/// resolves through this helper.
 int ResolveThreadCount(int configured);
 
 }  // namespace arraydb::util

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <thread>
 
 #include "core/elastic_engine.h"
 #include "reorg/overlap_window.h"
 #include "reorg/reorg_engine.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace arraydb::workload {
@@ -179,20 +177,12 @@ ServingCycleMetrics RunServingCycle(
 }  // namespace
 
 RunResult WorkloadRunner::Run(const Workload& workload) const {
-  // Config-scoped trace capture: span recording turns on for the run and
-  // the buffered events are written at the end. A no-op when trace_path is
-  // empty (the ARRAYDB_TRACE env hook covers that case process-wide).
-  std::optional<telemetry::ScopedTracing> tracing;
-  if (!config_.trace_path.empty()) tracing.emplace();
-
   const double capacity = workload.node_capacity_gb();
   core::ElasticEngine engine(
       core::MakePartitioner(config_.partitioner, workload.schema(),
                             config_.initial_nodes, capacity,
                             workload.growth_dim()),
       config_.initial_nodes, capacity, config_.cost_params);
-  const int ingest_threads = util::ResolveThreadCount(config_.ingest.threads);
-  engine.set_ingest_threads(ingest_threads);
   exec::QueryEngine query_engine(config_.engine_params);
 
   core::StaircaseConfig stair_cfg;
@@ -307,23 +297,11 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     // rollback restores the exact pre-reorg placement from the retained
     // source replicas — and restages the plan under a fresh fault ordinal,
     // up to FaultConfig::max_plan_restarts. Past that the reorganization is
-    // abandoned: the cluster keeps serving, just unbalanced. The first
-    // attempt runs on a migrator thread overlapped with the batch placement
-    // prewarm when asked (the overlapped schedules); recovery reruns skip
-    // the prewarm, which already happened.
-    const auto run_migration = [&](bool drain_all, bool overlap_prewarm) {
-      bool prewarmed = false;
+    // abandoned: the cluster keeps serving, just unbalanced.
+    const auto run_migration = [&](bool drain_all) {
       for (;;) {
-        util::Status status;
-        std::thread migrator([&background, &status, drain_all] {
-          status = drain_all ? background->StepAll()
-                             : background->Step().status();
-        });
-        if (overlap_prewarm && !prewarmed && ingest_threads > 1) {
-          engine.partitioner().PrewarmPlacement(batch, ingest_threads);
-        }
-        prewarmed = true;
-        migrator.join();
+        const util::Status status =
+            drain_all ? background->StepAll() : background->Step().status();
         if (status.ok()) return;
         // Only injected faults fail a step; they surface as kUnavailable.
         ARRAYDB_CHECK(status.code() == util::StatusCode::kUnavailable);
@@ -368,7 +346,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       const double remaining = background->summary().moved_gb -
                                background->summary().committed_gb;
       cycle_budget_gb = remaining;
-      run_migration(/*drain_all=*/true, /*overlap_prewarm=*/false);
+      run_migration(/*drain_all=*/true);
       if (background.has_value()) {
         charge_migration();
         ARRAYDB_CHECK(background->Finish().ok());
@@ -382,7 +360,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       const auto prep = engine.PrepareScaleOut(to_add);
       reorg::ReorgOptions opts;
       opts.increment_gb = config_.reorg.increment_gb;
-      opts.copy_threads = ingest_threads;
       if (faults_on) {
         opts.injector = &*injector;
         opts.retry = config_.fault.retry;
@@ -409,14 +386,10 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       if (paced) {
         cycles_left = std::max(1, config_.staircase_plan_ahead);
       } else {
-        // kBlocking drains before the insert. kOverlapped drains on a
-        // background thread while this thread prewarms the batch's
-        // placement state: the two touch disjoint state (cluster vs.
-        // partitioner) and are each deterministic, so the overlap is free
-        // of ordering effects, and the prewarm's rank memo makes
-        // IngestBatch's own prewarm a cache hit.
-        const bool overlapped = schedule == ReorgSchedule::kOverlapped;
-        run_migration(/*drain_all=*/true, /*overlap_prewarm=*/overlapped);
+        // kBlocking drains before the insert; kOverlapped drains here too,
+        // and its overlap with the cycle's queries is priced below
+        // (overlap_saved_minutes), not run concurrently.
+        run_migration(/*drain_all=*/true);
         if (background.has_value()) {
           // Fully drained: the charge is exactly the plan's work_minutes
           // (plus any fault-recovery overhead).
@@ -430,8 +403,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
     }
 
     // kPaced: one budgeted increment per cycle (the whole remainder on the
-    // deadline cycle), overlapped with the batch placement prewarm exactly
-    // like the drain path. The workload's last cycle is always a deadline:
+    // deadline cycle). The workload's last cycle is always a deadline:
     // the plan quiesces with the run, so no migration work (or its charge)
     // is lost off the end of the experiment.
     double serving_dilation = 1.0;
@@ -468,7 +440,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
       cycle_budget_gb = shares.migration_gb;
       m.migration_budget_gb += shares.migration_gb;
       serving_dilation = shares.query_dilation;
-      run_migration(/*drain_all=*/deadline, /*overlap_prewarm=*/true);
+      run_migration(/*drain_all=*/deadline);
       if (background.has_value()) charge_migration();
     }
 
@@ -567,10 +539,6 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
         serve::Summarize(std::move(serving_pools.interactive_latencies));
     result.serving_batch =
         serve::Summarize(std::move(serving_pools.batch_latencies));
-  }
-  if (tracing.has_value()) {
-    tracing.reset();  // Close the capture window before serializing.
-    telemetry::WriteTrace(config_.trace_path);
   }
   return result;
 }

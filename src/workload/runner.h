@@ -10,10 +10,10 @@
 // the timing:
 //   * kBlocking drains the plan before the insert; the cycle pays
 //     insert + reorg + queries.
-//   * kOverlapped drains it on a background thread overlapped with the
-//     batch's placement prewarm, and the cycle's queries run mid-reorg
-//     through the dual-residency view (elapsed = insert +
-//     max(reorg, queries)).
+//   * kOverlapped drains it in the scale-out cycle, and the cycle's queries
+//     run mid-reorg through the dual-residency view (elapsed = insert +
+//     max(reorg, queries)). The overlap is priced, not run: the runner
+//     starts no thread, and every call happens on the calling thread.
 //   * kPaced spreads it across cycles, each cycle's grant priced by
 //     cluster::CostModel::Arbitrate so migration finishes just in time for
 //     the staircase plan-ahead deadline without starving the ingest. The
@@ -58,26 +58,16 @@ enum class ReorgSchedule {
   /// Drain the whole plan before the insert: the cycle blocks on the
   /// transfer.
   kBlocking,
-  /// Drain the whole plan in the scale-out cycle, overlapped with the
-  /// batch's placement prewarm; queries run mid-reorg through the
-  /// dual-residency view, so the query workload hides migration time.
+  /// Drain the whole plan in the scale-out cycle; queries run mid-reorg
+  /// through the dual-residency view, so the query workload hides
+  /// migration time. The overlap is priced (overlap_saved_minutes); no
+  /// thread is started.
   kOverlapped,
   /// As kOverlapped, but the plan is paced across cycles by the cost
   /// model's per-cycle grant (CostModel::Arbitrate), completing by the
   /// staircase plan-ahead deadline — or earlier, force-drained, when the
   /// next scale-out arrives first.
   kPaced,
-};
-
-/// Ingest-side settings.
-struct IngestConfig {
-  /// Worker threads for the chunk-parallel ingest/placement fast path
-  /// (per-chunk placement state is precomputed in parallel and merged in
-  /// order; all placement decisions remain sequential and deterministic).
-  /// 1 = fully sequential; 0 = auto (hardware concurrency). The 0-means-auto
-  /// convention is interpreted in exactly one place,
-  /// util::ResolveThreadCount, which every consumer calls.
-  int threads = 1;
 };
 
 /// Reorganization settings.
@@ -148,19 +138,12 @@ struct RunnerConfig {
   int max_nodes = 8;           // Capacity-trigger testbed size.
   int staircase_samples = 4;   // s, for the staircase policy.
   int staircase_plan_ahead = 3;  // p, for the staircase policy.
-  IngestConfig ingest;
   ReorgConfig reorg;
   ServingConfig serving;
   FaultConfig fault;
   cluster::CostParams cost_params;
   exec::EngineParams engine_params;
   bool run_queries = true;
-  /// When non-empty, Run() records telemetry trace spans for its duration
-  /// and writes them to this path as Chrome trace-event JSON (load it in
-  /// chrome://tracing or Perfetto). Observe-only: results are bit-identical
-  /// with or without tracing. The ARRAYDB_TRACE environment variable offers
-  /// the same capture process-wide without touching the config.
-  std::string trace_path;
 };
 
 /// One cycle's serving-scenario outcome (latencies in simulated ms).

@@ -472,20 +472,5 @@ TEST(ArbitratedRunnerTest, PlanStartedOnTheFinalCycleDrainsWithTheRun) {
   EXPECT_EQ(ForcedDrains(arbitrated), 0);
 }
 
-TEST(ArbitratedRunnerTest, DeterministicAcrossThreadCounts) {
-  const AisWorkload ais = HeavyAis();
-  std::vector<RunResult> results;
-  for (const int threads : {1, 4, 0}) {
-    RunnerConfig cfg =
-        HeavyStaircaseConfig(ReorgSchedule::kPaced);
-    cfg.ingest.threads = threads;
-    results.push_back(WorkloadRunner(cfg).Run(ais));
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    // Every cycle's record — budgets, stalls, reorg and elapsed minutes.
-    EXPECT_EQ(results[i].cycles, results[0].cycles);
-  }
-}
-
 }  // namespace
 }  // namespace arraydb::workload

@@ -106,19 +106,6 @@ TEST(ClusterTest, LoadRsdMatchesHandComputation) {
   EXPECT_NEAR(c.LoadRsd(), 0.5, 1e-9);
 }
 
-TEST(ClusterTest, ChunksOnNodeIsSortedAndFiltered) {
-  Cluster c(2, 100.0);
-  ASSERT_TRUE(c.PlaceChunk({2, 0}, 1, 0).ok());
-  ASSERT_TRUE(c.PlaceChunk({0, 0}, 2, 0).ok());
-  ASSERT_TRUE(c.PlaceChunk({1, 0}, 3, 1).ok());
-  const auto on0 = c.ChunksOnNode(0);
-  ASSERT_EQ(on0.size(), 2u);
-  EXPECT_EQ(on0[0].coords, (array::Coordinates{0, 0}));
-  EXPECT_EQ(on0[1].coords, (array::Coordinates{2, 0}));
-  EXPECT_EQ(c.ChunksOnNode(1).size(), 1u);
-  EXPECT_EQ(c.AllChunks().size(), 3u);
-}
-
 // Regression (determinism lint R1): ForEachChunk used to iterate the
 // unordered chunk map directly, exposing hash order — which varies with
 // insertion history — to every caller's visit sequence. It must enumerate

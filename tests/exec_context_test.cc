@@ -115,26 +115,26 @@ TEST_F(ExecContextOperatorTest, ConcurrentJoinsUnderDistinctContexts) {
 // copy operations must produce fully independent values.
 TEST(RunnerConfigTest, CopiesAreIndependentValues) {
   workload::RunnerConfig original;
-  original.ingest.threads = 7;
+  original.initial_nodes = 7;
   original.reorg.increment_gb = 4.0;
 
   workload::RunnerConfig copy = original;
-  EXPECT_EQ(copy.ingest.threads, 7);
+  EXPECT_EQ(copy.initial_nodes, 7);
   EXPECT_DOUBLE_EQ(copy.reorg.increment_gb, 4.0);
 
   // Mutating the copy must not touch the original.
-  copy.ingest.threads = 2;
+  copy.initial_nodes = 2;
   copy.reorg.increment_gb = 9.0;
-  EXPECT_EQ(original.ingest.threads, 7);
+  EXPECT_EQ(original.initial_nodes, 7);
   EXPECT_DOUBLE_EQ(original.reorg.increment_gb, 4.0);
-  EXPECT_EQ(copy.ingest.threads, 2);
+  EXPECT_EQ(copy.initial_nodes, 2);
 
   // Same for assignment.
   workload::RunnerConfig assigned;
   assigned = original;
-  assigned.ingest.threads = 6;
-  EXPECT_EQ(original.ingest.threads, 7);
-  EXPECT_EQ(assigned.ingest.threads, 6);
+  assigned.initial_nodes = 6;
+  EXPECT_EQ(original.initial_nodes, 7);
+  EXPECT_EQ(assigned.initial_nodes, 6);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -152,6 +153,16 @@ TEST(HilbertTest, BitsForExtents) {
   EXPECT_EQ(BitsForExtents({5, 4}), 3);
   EXPECT_EQ(BitsForExtents({1, 1}), 1);
   EXPECT_EQ(BitsForExtents({36, 29, 23}), 6);
+  EXPECT_EQ(BitsForExtents({int64_t{1} << 32}), 32);
+  EXPECT_EQ(BitsForExtents({(int64_t{1} << 32) + 1}), 33);
+  EXPECT_EQ(BitsForExtents({int64_t{1} << 62}), 62);
+}
+
+TEST(HilbertTest, BitsForExtentsTerminatesAtTheTopOfInt64) {
+  // Extents past 2^62 need 63 bits; the count must not walk a signed
+  // shift into the sign bit.
+  EXPECT_EQ(BitsForExtents({(int64_t{1} << 62) + 6}), 63);
+  EXPECT_EQ(BitsForExtents({std::numeric_limits<int64_t>::max()}), 63);
 }
 
 TEST(HilbertTest, RankIsUniqueOnRectangle) {

@@ -166,6 +166,36 @@ TEST(JoinEdgeTest, NegativeCoordinatesKeyCorrectly) {
   }
 }
 
+TEST(JoinEdgeTest, WideKeySpaceFallsBackToTheSetJoin) {
+  // One unbounded dimension spanning more than 2^32 cells cannot be ranked
+  // in the codec's uint32 lanes: the join must take the set fallback and
+  // still count exactly, up to the top of int64. A span of exactly 2^32
+  // cells is the widest the rank path keys.
+  ArraySchema schema("wide", {DimensionDesc{"t", 0, 0, 1024, true}},
+                     {AttributeDesc{"v", AttrType::kDouble}});
+  for (const int64_t x : {(int64_t{1} << 32) - 1, int64_t{1} << 33,
+                          (int64_t{1} << 62) + 5,
+                          std::numeric_limits<int64_t>::max()}) {
+    Array a(schema);
+    Array b(schema);
+    ASSERT_TRUE(a.InsertCell({0}, {1.0}).ok());
+    ASSERT_TRUE(a.InsertCell({x}, {2.0}).ok());
+    ASSERT_TRUE(b.InsertCell({x}, {3.0}).ok());
+    ASSERT_TRUE(b.InsertCell({0}, {4.0}).ok());
+    ASSERT_TRUE(b.InsertCell({5}, {5.0}).ok());
+    const int64_t want = internal::DimJoinCountBySet(a, b);
+    EXPECT_EQ(want, 2) << "x=" << x;
+    for (const int bits : PartitionBits()) {
+      EXPECT_EQ(DimJoinCount(a, b, Opts(2, 192, bits)), want)
+          << "x=" << x << " bits=" << bits;
+    }
+  }
+  Array low(schema);
+  EXPECT_EQ(low.InsertCell({std::numeric_limits<int64_t>::min()}, {1.0})
+                .code(),
+            util::StatusCode::kOutOfRange);
+}
+
 // -- Multiplicity semantics (pinned) ----------------------------------------
 
 namespace {

@@ -14,11 +14,13 @@
 #include "core/consistent_hash.h"
 #include "core/extendible_hash.h"
 #include "core/hilbert_partitioner.h"
+#include "core/spatial.h"
 #include "core/kdtree.h"
 #include "core/partitioner_factory.h"
 #include "core/quadtree.h"
 #include "core/round_robin.h"
 #include "core/uniform_range.h"
+#include "hilbert/hilbert.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -280,6 +282,35 @@ TEST(HilbertPartitionerTest, RanksAreDistinctAcrossGrid) {
     }
   }
   EXPECT_EQ(ranks.size(), 256u);
+}
+
+TEST(HilbertPartitionerTest, RankOfMatchesTheReferenceCurve) {
+  // RankOf is the table-driven codec on the projected chunk position: it
+  // must equal the bit-by-bit reference curve for every chunk of a
+  // non-cubic 3-D grid, with and without a growth dimension projected
+  // away.
+  const ArraySchema schema("cube",
+                           {DimensionDesc{"t", 0, 11, 2, false},
+                            DimensionDesc{"x", 0, 19, 4, false},
+                            DimensionDesc{"y", 0, 8, 3, false}},
+                           {AttributeDesc{"v", AttrType::kDouble}});
+  const Coordinates grid = schema.ChunkGridExtents();
+  for (const int growth_dim : {0, SpatialProjection::kNone}) {
+    const SpatialProjection projection(schema, growth_dim);
+    const HilbertPartitioner hp(schema, 3, growth_dim);
+    for (int64_t t = 0; t < grid[0]; ++t) {
+      for (int64_t x = 0; x < grid[1]; ++x) {
+        for (int64_t y = 0; y < grid[2]; ++y) {
+          const Coordinates c{t, x, y};
+          EXPECT_EQ(hp.RankOf(c),
+                    hilbert::HilbertRankReference(projection.Project(c),
+                                                  projection.extents()))
+              << "growth_dim=" << growth_dim << " chunk ("
+              << t << "," << x << "," << y << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(HilbertPartitionerDeathTest, RejectsSchemasAboveTheStateTableLimit) {

@@ -13,7 +13,6 @@
 #include "core/elastic_engine.h"
 #include "core/partitioner_factory.h"
 #include "reorg/reorg_engine.h"
-#include "util/thread_pool.h"
 #include "workload/ais.h"
 #include "workload/modis.h"
 #include "workload/runner.h"
@@ -155,23 +154,17 @@ TEST(ReorgEquivalenceTest, EngineDrainMatchesAtomicScaleOut) {
   }
 }
 
-TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossThreadsAndSizes) {
+TEST(ReorgEquivalenceTest, OverlappedRunDeterministicAcrossIncrementSizes) {
   AisWorkload ais;
   RunnerConfig base =
       BaseConfig(core::PartitionerKind::kHilbertCurve,
                  ReorgSchedule::kOverlapped);
   std::vector<RunResult> results;
-  // Thread counts (including 0 = auto) and increment budgets from
-  // many-small-slices to one-shot must not change any metric but the
-  // increment count.
-  const struct {
-    int threads;
-    double increment_gb;
-  } variants[] = {{1, 0.5}, {4, 0.5}, {0, 0.5}, {1, 8.0}, {1, 1e9}};
-  for (const auto& v : variants) {
+  // Increment budgets from many-small-slices to one-shot must not change
+  // any metric but the increment count.
+  for (const double increment_gb : {0.5, 8.0, 1e9}) {
     RunnerConfig cfg = base;
-    cfg.ingest.threads = v.threads;
-    cfg.reorg.increment_gb = v.increment_gb;
+    cfg.reorg.increment_gb = increment_gb;
     results.push_back(WorkloadRunner(cfg).Run(ais));
   }
   for (size_t i = 1; i < results.size(); ++i) {
@@ -261,22 +254,6 @@ TEST(ReorgEquivalenceTest, EmptyPlanWorkloadsRunOverlapped) {
     EXPECT_EQ(overlapped.cycles[i].science_minutes,
               blocking.cycles[i].science_minutes);
   }
-}
-
-TEST(ReorgEquivalenceTest, IngestThreadsZeroResolvesToHardwareConcurrency) {
-  // The 0-means-auto knob is interpreted in exactly one place and surfaces
-  // through every consumer.
-  const int resolved = util::ResolveThreadCount(0);
-  EXPECT_GE(resolved, 1);
-  AisWorkload ais;
-  core::ElasticEngine engine(
-      core::MakePartitioner(core::PartitionerKind::kHilbertCurve, ais.schema(),
-                            2, ais.node_capacity_gb(), ais.growth_dim()),
-      2, ais.node_capacity_gb());
-  engine.set_ingest_threads(0);
-  EXPECT_EQ(engine.ingest_threads(), resolved);
-  engine.set_ingest_threads(3);
-  EXPECT_EQ(engine.ingest_threads(), 3);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(ClusterIncrementalTest, AtomicApplyRefusedWhileActive) {
             util::StatusCode::kFailedPrecondition);
   EXPECT_EQ(f.cluster.BeginApply(f.plan).code(),
             util::StatusCode::kFailedPrecondition);
-  f.cluster.AbortReorg();
+  ASSERT_TRUE(f.cluster.RollbackReorg().ok());
   EXPECT_FALSE(f.cluster.reorg_active());
 }
 

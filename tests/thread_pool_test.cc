@@ -1,22 +1,17 @@
-// Tests for the thread pool and the deterministic chunk-parallel
-// ingest/placement fast path: any thread count must produce exactly the
-// sequential results (ordered merge), and the pool must execute every
-// submitted task exactly once.
+// Tests for the thread pool and the deterministic ParallelFor helper: every
+// index is covered exactly once for any shard count, and the pool executes
+// every submitted task exactly once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "core/hilbert_partitioner.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
-#include "workload/ais.h"
-#include "workload/modis.h"
-#include "workload/runner.h"
 
 namespace arraydb {
 namespace {
@@ -68,70 +63,6 @@ TEST(ParallelForTest, EmptyAndTinyRangesDegradeGracefully) {
     for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)]++;
   });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
-}
-
-array::ArraySchema GridSchema() {
-  return array::ArraySchema(
-      "grid",
-      {array::DimensionDesc{"t", 0, 31, 1, false},
-       array::DimensionDesc{"x", 0, 31, 1, false},
-       array::DimensionDesc{"y", 0, 31, 1, false}},
-      {array::AttributeDesc{"v", array::AttrType::kDouble}});
-}
-
-TEST(PrewarmPlacementTest, ParallelPrewarmIsPlacementNeutral) {
-  const auto schema = GridSchema();
-  std::vector<array::ChunkInfo> batch;
-  util::Rng rng(11);
-  for (int i = 0; i < 512; ++i) {
-    array::ChunkInfo info;
-    info.coords = {static_cast<int64_t>(rng.NextBounded(32)),
-                   static_cast<int64_t>(rng.NextBounded(32)),
-                   static_cast<int64_t>(rng.NextBounded(32))};
-    info.bytes = 1 << 16;
-    batch.push_back(info);
-  }
-  core::HilbertPartitioner cold(schema, 4, /*growth_dim=*/0);
-  core::HilbertPartitioner warm(schema, 4, /*growth_dim=*/0);
-  warm.PrewarmPlacement(batch, 4);
-  cluster::Cluster cluster(4, 100.0);
-  for (const auto& info : batch) {
-    EXPECT_EQ(warm.PlaceChunk(cluster, info), cold.PlaceChunk(cluster, info));
-    EXPECT_EQ(warm.RankOf(info.coords), cold.RankOf(info.coords));
-    EXPECT_EQ(warm.Locate(info.coords), cold.Locate(info.coords));
-  }
-}
-
-TEST(PrewarmPlacementTest, MemoizedRankStaysStableAcrossRepeatedLookups) {
-  const auto schema = GridSchema();
-  core::HilbertPartitioner partitioner(schema, 2, /*growth_dim=*/0);
-  const array::Coordinates coords = {5, 17, 9};
-  const uint64_t first = partitioner.RankOf(coords);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(partitioner.RankOf(coords), first);
-  }
-}
-
-// The full workload runner must be bit-identical between sequential and
-// chunk-parallel ingest, for every partitioner-relevant metric.
-TEST(ParallelIngestTest, RunnerMetricsIdenticalAcrossThreadCounts) {
-  workload::AisWorkload ais;
-  workload::RunResult results[3];
-  const int thread_counts[3] = {1, 4, 0 /* hardware concurrency */};
-  for (int i = 0; i < 3; ++i) {
-    workload::RunnerConfig cfg;
-    cfg.partitioner = core::PartitionerKind::kHilbertCurve;
-    cfg.initial_nodes = 2;
-    cfg.nodes_per_scaleout = 2;
-    cfg.max_nodes = 8;
-    cfg.run_queries = false;
-    cfg.ingest.threads = thread_counts[i];
-    results[i] = workload::WorkloadRunner(cfg).Run(ais);
-  }
-  for (int i = 1; i < 3; ++i) {
-    EXPECT_EQ(results[i].cycles, results[0].cycles);
-    EXPECT_EQ(results[i].final_nodes, results[0].final_nodes);
-  }
 }
 
 TEST(ResolveThreadCountTest, PositiveValuesPassThrough) {
