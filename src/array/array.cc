@@ -60,6 +60,9 @@ util::Status Array::InsertCell(const Coordinates& pos,
     if (pos[d] < dim.lo || (!dim.unbounded && pos[d] > dim.hi)) {
       return util::OutOfRange("cell outside declared dimension range");
     }
+    if (!dim.ChunkIndexFits(pos[d])) {
+      return util::OutOfRange("chunk index of cell overflows int64");
+    }
   }
   const Coordinates cc = schema_.ChunkOf(pos);
   const auto [it, inserted] = chunks_.try_emplace(cc, cc);

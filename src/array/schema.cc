@@ -1,5 +1,6 @@
 #include "array/schema.h"
 
+#include <cstdint>
 #include <set>
 #include <utility>
 
@@ -10,16 +11,32 @@ namespace arraydb::array {
 
 int64_t DimensionDesc::ChunkCount() const {
   ARRAYDB_CHECK(!unbounded);
+  // Ceil division without the `extent + interval - 1` that overflows when
+  // the extent is near INT64_MAX.
   const int64_t extent = Extent();
-  return (extent + chunk_interval - 1) / chunk_interval;
+  return extent / chunk_interval + (extent % chunk_interval != 0 ? 1 : 0);
+}
+
+bool DimensionDesc::ChunkIndexFits(int64_t cell) const {
+  // At interval 1 the index is the offset from lo itself, which must fit in
+  // int64 (down to INT64_MIN below lo); any larger interval halves a uint64
+  // offset into range.
+  const uint64_t offset =
+      static_cast<uint64_t>(cell) - static_cast<uint64_t>(lo);
+  const uint64_t top = cell >= lo ? offset : -offset - 1;
+  return chunk_interval > 1 || top <= static_cast<uint64_t>(INT64_MAX);
 }
 
 int64_t DimensionDesc::ChunkIndexOf(int64_t cell) const {
-  // Floor division relative to the dimension origin; cells below lo are a
-  // caller bug for bounded dims but tolerated for unbounded ones.
-  const int64_t offset = cell - lo;
-  if (offset >= 0) return offset / chunk_interval;
-  return -(((-offset) + chunk_interval - 1) / chunk_interval);
+  // Floor division of the uint64 offset from the dimension origin, so no
+  // int64 extreme overflows; cells below lo are a caller bug for bounded
+  // dims but tolerated for unbounded ones.
+  ARRAYDB_CHECK(ChunkIndexFits(cell));
+  const uint64_t offset =
+      static_cast<uint64_t>(cell) - static_cast<uint64_t>(lo);
+  const uint64_t interval = static_cast<uint64_t>(chunk_interval);
+  if (cell >= lo) return static_cast<int64_t>(offset / interval);
+  return -static_cast<int64_t>((-offset - 1) / interval) - 1;
 }
 
 int64_t DimensionDesc::ChunkLow(int64_t chunk_index) const {
@@ -28,7 +45,10 @@ int64_t DimensionDesc::ChunkLow(int64_t chunk_index) const {
 
 int64_t DimensionDesc::Extent() const {
   ARRAYDB_CHECK(!unbounded);
-  return hi - lo + 1;
+  // Taken in uint64 so no int64 extreme overflows; Validate rejects an
+  // extent above INT64_MAX.
+  return static_cast<int64_t>(static_cast<uint64_t>(hi) -
+                              static_cast<uint64_t>(lo) + 1);
 }
 
 int64_t AttrTypeBytes(AttrType type) {
@@ -86,6 +106,9 @@ util::Status ArraySchema::Validate() const {
     }
     if (!d.unbounded && d.hi < d.lo) {
       return util::InvalidArgument("empty range for dimension " + d.name);
+    }
+    if (!d.unbounded && d.Extent() <= 0) {  // hi - lo + 1 wrapped past int64.
+      return util::InvalidArgument("extent exceeds int64 for " + d.name);
     }
   }
   for (const auto& a : attrs_) {

@@ -31,8 +31,13 @@ struct DimensionDesc {
   /// Number of chunks along this dimension (requires a bounded range).
   int64_t ChunkCount() const;
 
-  /// Chunk-grid index of cell coordinate `cell` (0-based).
+  /// Chunk-grid index of cell coordinate `cell` (0-based). Requires
+  /// ChunkIndexFits(cell).
   int64_t ChunkIndexOf(int64_t cell) const;
+
+  /// True when the chunk index of `cell` fits in int64. Only an interval of
+  /// 1 with a cell more than INT64_MAX cells from lo fails.
+  bool ChunkIndexFits(int64_t cell) const;
 
   /// Lowest cell coordinate of chunk `chunk_index`.
   int64_t ChunkLow(int64_t chunk_index) const;
@@ -68,7 +73,8 @@ class ArraySchema {
   ArraySchema(std::string name, std::vector<DimensionDesc> dims,
               std::vector<AttributeDesc> attrs);
 
-  /// Validates ranges, intervals, and name uniqueness.
+  /// Validates ranges (each bounded extent must fit in int64), intervals,
+  /// and name uniqueness.
   util::Status Validate() const;
 
   const std::string& name() const { return name_; }

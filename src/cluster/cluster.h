@@ -200,10 +200,14 @@ class Cluster : public PlacementView {
   /// Number of chunks stored on `node`.
   int64_t NodeChunkCount(NodeId node) const;
 
-  /// All chunk records, in deterministic order.
+  /// All chunk records, sorted by coordinates (CoordinatesLess): the one
+  /// placement snapshot each scale-out plan is computed from.
   std::vector<ChunkRecord> AllChunks() const;
 
-  /// Unordered placement map for fast scans.
+  /// Unordered placement map. Planners and query routing read the sorted
+  /// AllChunks() / ForEachChunk() instead; the map stays for perfbench's
+  /// verification walk, which checks each record on its own and so does
+  /// not depend on hash order.
   const std::unordered_map<array::Coordinates, ChunkRecord,
                            array::CoordinatesHash>&
   chunk_map() const {

@@ -34,8 +34,8 @@ class PlacementView {
                       int64_t* bytes) const = 0;
 
   /// Invokes `fn(coords, node, bytes)` for every stored chunk with its
-  /// routed owner. Iteration order is unspecified; callers needing
-  /// determinism must sort. References are valid only during the call.
+  /// routed owner, in sorted chunk order (CoordinatesLess), so callers need
+  /// not sort. References are valid only during the call.
   virtual void ForEachChunk(
       const std::function<void(const array::Coordinates&, NodeId, int64_t)>&
           fn) const = 0;

@@ -52,11 +52,15 @@ cluster::MovePlan ExtendibleHashPartitioner::PlanScaleOut(
   // Bytes stored under each directory entry, and per node, reflecting the
   // cluster state before this scale-out. Updated as entries are reassigned
   // so that consecutive splits in one scale-out see each other's effect.
+  // Each chunk is hashed once; a directory doubling only re-masks.
+  const std::vector<cluster::ChunkRecord> chunks = cluster.AllChunks();
+  std::vector<uint64_t> hashes;
+  hashes.reserve(chunks.size());
+  for (const auto& rec : chunks) hashes.push_back(ChunkHash(rec.coords));
   auto entry_bytes = [&]() {
     std::vector<int64_t> bytes(directory_.size(), 0);
-    // arraydb-lint: order-insensitive -- exact integer sums per slot.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      bytes[ChunkHash(coords) & DirMask()] += rec.bytes;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      bytes[hashes[i] & DirMask()] += chunks[i].bytes;
     }
     return bytes;
   };
@@ -77,27 +81,20 @@ cluster::MovePlan ExtendibleHashPartitioner::PlanScaleOut(
       }
     }
 
+    // Single bucket: slice the hash space by the next significant bit. The
+    // doubling leaves every node's bytes unchanged.
+    if (std::count(directory_.begin(), directory_.end(), victim) == 1 &&
+        global_depth_ < kMaxGlobalDepth) {
+      DoubleDirectory();
+      bytes_per_entry = entry_bytes();
+    }
+
     // Collect the victim's directory entries.
     std::vector<size_t> owned;
     for (size_t e = 0; e < directory_.size(); ++e) {
       if (directory_[e] == victim) owned.push_back(e);
     }
     ARRAYDB_CHECK(!owned.empty());
-
-    if (owned.size() == 1 && global_depth_ < kMaxGlobalDepth) {
-      // Single bucket: slice the hash space by the next significant bit.
-      DoubleDirectory();
-      bytes_per_entry = entry_bytes();
-      node_bytes.assign(static_cast<size_t>(new_count), 0);
-      for (size_t e = 0; e < directory_.size(); ++e) {
-        node_bytes[static_cast<size_t>(directory_[e])] += bytes_per_entry[e];
-      }
-      owned.clear();
-      for (size_t e = 0; e < directory_.size(); ++e) {
-        if (directory_[e] == victim) owned.push_back(e);
-      }
-      ARRAYDB_CHECK_EQ(owned.size(), 2u);
-    }
 
     // Partition the victim's entries into two byte-balanced halves
     // (greedy, largest first) and hand the lighter half to the new node —
@@ -131,15 +128,7 @@ cluster::MovePlan ExtendibleHashPartitioner::PlanScaleOut(
     }
   }
   num_nodes_ = new_count;
-
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return MovesToTable(chunks);
 }
 
 NodeId ExtendibleHashPartitioner::Locate(

@@ -90,13 +90,12 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
     uint64_t rank;
     int64_t bytes;
   };
+  const std::vector<cluster::ChunkRecord> chunks = cluster.AllChunks();
   std::vector<Entry> entries;
-  entries.reserve(cluster.chunk_map().size());
+  entries.reserve(chunks.size());
   std::vector<int64_t> load(static_cast<size_t>(new_count), 0);
-  // arraydb-lint: ordered-extract order-insensitive -- entries are sorted
-  // by unique rank below; loads are exact integer sums.
-  for (const auto& [coords, rec] : cluster.chunk_map()) {
-    const uint64_t rank = RankOf(coords);
+  for (const auto& rec : chunks) {
+    const uint64_t rank = RankOf(rec.coords);
     entries.push_back(Entry{rank, rec.bytes});
     load[static_cast<size_t>(OwnerOfRank(rank))] += rec.bytes;
   }
@@ -164,14 +163,7 @@ cluster::MovePlan HilbertPartitioner::PlanScaleOut(
     load[static_cast<size_t>(new_node)] += moved;
   }
 
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = OwnerOfRank(RankOf(rec.coords));
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return MovesToTable(chunks);
 }
 
 NodeId HilbertPartitioner::Locate(

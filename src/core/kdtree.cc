@@ -149,57 +149,25 @@ NodeId KdTreePartitioner::PlaceChunk(const cluster::Cluster& cluster,
 
 cluster::MovePlan KdTreePartitioner::PlanScaleOut(
     const cluster::Cluster& cluster, int old_node_count) {
-  const int new_count = cluster.num_nodes();
-  // Working loads and ownership: the tree reflects earlier splits within
-  // this same scale-out, so recompute ownership through the tree each time.
-  for (NodeId new_node = old_node_count; new_node < new_count; ++new_node) {
-    std::vector<int64_t> load(static_cast<size_t>(new_node), 0);
-    std::vector<std::vector<ProjectedChunk>> contents(
-        static_cast<size_t>(new_node));
-    // arraydb-lint: ordered-extract order-insensitive -- the victim's
-    // contents are value-sorted before splitting; loads are integer sums.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      array::Coordinates projected = projection_.Project(coords);
-      const NodeId owner = LeafOf(projected)->host;
-      ARRAYDB_CHECK_GE(owner, 0);
-      if (owner < new_node) {
-        load[static_cast<size_t>(owner)] += rec.bytes;
-        contents[static_cast<size_t>(owner)].emplace_back(
-            std::move(projected), rec.bytes);
-      }
-    }
-    // Most loaded host whose region can still be subdivided (a region that
-    // has shrunk to a single chunk column cannot be cut further).
-    NodeId victim = -1;
-    int64_t victim_bytes = -1;
-    for (NodeId n = 0; n < new_node; ++n) {
-      const TreeNode* leaf = LeafOfHost(n);
-      bool splittable = false;
-      for (size_t d = 0; d < leaf->lo.size(); ++d) {
-        if (leaf->hi[d] - leaf->lo[d] >= 2) {
-          splittable = true;
-          break;
+  const std::vector<cluster::ChunkRecord> chunks = cluster.AllChunks();
+  SplitMostLoadedHosts(
+      projection_, chunks, old_node_count, cluster.num_nodes(),
+      [this](const array::Coordinates& projected) {
+        return LeafOf(projected)->host;
+      },
+      // A region that has shrunk to a single chunk column cannot be cut.
+      [this](NodeId host) {
+        const TreeNode* leaf = LeafOfHost(host);
+        for (size_t d = 0; d < leaf->lo.size(); ++d) {
+          if (leaf->hi[d] - leaf->lo[d] >= 2) return true;
         }
-      }
-      if (splittable && load[static_cast<size_t>(n)] > victim_bytes) {
-        victim = n;
-        victim_bytes = load[static_cast<size_t>(n)];
-      }
-    }
-    ARRAYDB_CHECK_GE(victim, 0);
-    auto& victim_chunks = contents[static_cast<size_t>(victim)];
-    std::sort(victim_chunks.begin(), victim_chunks.end());
-    SplitLeaf(LeafOfHost(victim), new_node, victim_chunks);
-  }
-
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = LeafOf(projection_.Project(rec.coords))->host;
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+        return false;
+      },
+      [this](NodeId victim, NodeId new_node,
+             const std::vector<ProjectedChunk>& victim_chunks) {
+        SplitLeaf(LeafOfHost(victim), new_node, victim_chunks);
+      });
+  return MovesToTable(chunks);
 }
 
 NodeId KdTreePartitioner::Locate(

@@ -5,13 +5,14 @@
 // scales out, the most heavily burdened host's region is cut at the
 // byte-weighted median of its stored chunks along the dimension selected by
 // cycling per tree depth, and the upper half moves to the new host. Lookup
-// is a logarithmic tree descent.
+// is a logarithmic tree descent. A scale-out reads one sorted placement
+// snapshot and projects each chunk once (SplitMostLoadedHosts); only the
+// victim's chunks are gathered for each split.
 
 #ifndef ARRAYDB_CORE_KDTREE_H_
 #define ARRAYDB_CORE_KDTREE_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/partitioner.h"
@@ -56,9 +57,6 @@ class KdTreePartitioner final : public Partitioner {
     array::Coordinates hi;
     int depth = 0;
   };
-
-  /// (projected coordinates, bytes) of one stored chunk.
-  using ProjectedChunk = std::pair<array::Coordinates, int64_t>;
 
   TreeNode* LeafOf(const array::Coordinates& projected) const;
   TreeNode* LeafOfHost(NodeId host) const;

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -26,23 +25,16 @@ uint64_t ChunkHash(const array::Coordinates& coords) {
   return util::SplitMix64(h);
 }
 
-NodeId MostLoadedNode(const cluster::Cluster& cluster) {
-  return MostLoadedNodeBelow(cluster, cluster.num_nodes());
-}
-
-NodeId MostLoadedNodeBelow(const cluster::Cluster& cluster, NodeId limit) {
-  ARRAYDB_CHECK_GE(limit, 1);
-  ARRAYDB_CHECK_LE(limit, cluster.num_nodes());
-  NodeId best = 0;
-  int64_t best_bytes = -1;
-  for (NodeId n = 0; n < limit; ++n) {
-    const int64_t bytes = cluster.NodeBytes(n);
-    if (bytes > best_bytes) {
-      best = n;
-      best_bytes = bytes;
+cluster::MovePlan Partitioner::MovesToTable(
+    const std::vector<cluster::ChunkRecord>& chunks) const {
+  cluster::MovePlan plan;
+  for (const auto& rec : chunks) {
+    const NodeId target = Locate(rec.coords);
+    if (target != rec.node) {
+      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
     }
   }
-  return best;
+  return plan;
 }
 
 }  // namespace arraydb::core

@@ -58,7 +58,9 @@ class Partitioner {
   /// Reacts to a cluster expansion: nodes [old_node_count,
   /// cluster.num_nodes()) were just added and are empty. Updates the
   /// internal partitioning table and returns the chunk moves needed to
-  /// realize the new layout. The engine applies the plan to the cluster.
+  /// realize the new layout, in sorted chunk order (CoordinatesLess). The
+  /// engine applies the plan to the cluster. Planners read placement from
+  /// one Cluster::AllChunks() snapshot, so no hash order reaches the plan.
   virtual cluster::MovePlan PlanScaleOut(const cluster::Cluster& cluster,
                                          int old_node_count) = 0;
 
@@ -83,17 +85,17 @@ class Partitioner {
   bool IsNDimClustered() const {
     return features() & kNDimensionalClustering;
   }
+
+ protected:
+  /// The diff that ends every non-empty scale-out plan: one move per record
+  /// of `chunks` whose Locate() differs from its owner, in `chunks` order
+  /// (sorted, for a Cluster::AllChunks() snapshot).
+  cluster::MovePlan MovesToTable(
+      const std::vector<cluster::ChunkRecord>& chunks) const;
 };
 
 /// Stable 64-bit hash of chunk coordinates used by all hash partitioners.
 uint64_t ChunkHash(const array::Coordinates& coords);
-
-/// Node with the most stored bytes; ties break toward the lower id.
-NodeId MostLoadedNode(const cluster::Cluster& cluster);
-
-/// Most loaded node among ids in [0, limit). Used during scale-out to pick
-/// split victims only among preexisting nodes.
-NodeId MostLoadedNodeBelow(const cluster::Cluster& cluster, NodeId limit);
 
 }  // namespace arraydb::core
 

@@ -81,7 +81,6 @@ QuadtreePartitioner::QuadtreePartitioner(const array::ArraySchema& schema,
   host_cells_.push_back({root});
   // Bootstrap additional initial nodes with volume-driven splits (no data
   // exists yet, so byte-driven selection ties and volume decides).
-  cluster::Cluster empty(initial_nodes, 1.0);
   for (NodeId host = 1; host < initial_nodes; ++host) {
     NodeId biggest = 0;
     int64_t best_volume = -1;
@@ -96,22 +95,12 @@ QuadtreePartitioner::QuadtreePartitioner(const array::ArraySchema& schema,
       }
     }
     host_cells_.emplace_back();
-    SplitHost(biggest, host, empty);
+    SplitHost(biggest, host, {});
   }
 }
 
-int64_t QuadtreePartitioner::CellBytes(const Cell& cell,
-                                       const cluster::Cluster& cluster) const {
-  int64_t bytes = 0;
-  // arraydb-lint: order-insensitive -- exact integer sum.
-  for (const auto& [coords, rec] : cluster.chunk_map()) {
-    if (cell.Contains(projection_.Project(coords))) bytes += rec.bytes;
-  }
-  return bytes;
-}
-
-void QuadtreePartitioner::SplitHost(NodeId victim, NodeId new_host,
-                                    const cluster::Cluster& cluster) {
+void QuadtreePartitioner::SplitHost(
+    NodeId victim, NodeId new_host, const std::vector<ProjectedChunk>& chunks) {
   auto& cells = host_cells_[static_cast<size_t>(victim)];
   ARRAYDB_CHECK(!cells.empty());
 
@@ -125,12 +114,18 @@ void QuadtreePartitioner::SplitHost(NodeId victim, NodeId new_host,
     pool = cells;
   }
 
-  // Price each pool cell once.
-  std::vector<int64_t> pool_bytes(pool.size());
+  // Price the pool in one pass: its cells are disjoint and cover exactly
+  // the victim's region, so each of the victim's chunks lands in one.
+  std::vector<int64_t> pool_bytes(pool.size(), 0);
   int64_t total_bytes = 0;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    pool_bytes[i] = CellBytes(pool[i], cluster);
-    total_bytes += pool_bytes[i];
+  for (const auto& [projected, bytes] : chunks) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i].Contains(projected)) {
+        pool_bytes[i] += bytes;
+        total_bytes += bytes;
+        break;
+      }
+    }
   }
 
   // Candidate subsets: each single cell, each face-adjacent pair, and —
@@ -236,50 +231,33 @@ NodeId QuadtreePartitioner::PlaceChunk(const cluster::Cluster& cluster,
 
 cluster::MovePlan QuadtreePartitioner::PlanScaleOut(
     const cluster::Cluster& cluster, int old_node_count) {
-  const int new_count = cluster.num_nodes();
-  for (NodeId new_node = old_node_count; new_node < new_count; ++new_node) {
-    // Working loads through the (already partially updated) table.
-    std::vector<int64_t> load(static_cast<size_t>(new_node), 0);
-    // arraydb-lint: order-insensitive -- exact integer sums per host.
-    for (const auto& [coords, rec] : cluster.chunk_map()) {
-      const NodeId owner = Locate(coords);
-      if (owner >= 0 && owner < new_node) {
-        load[static_cast<size_t>(owner)] += rec.bytes;
-      }
-    }
-    // Most loaded host that can actually shed cells: several sibling
-    // cells, or one cell that is still subdividable.
-    NodeId victim = -1;
-    int64_t victim_bytes = -1;
-    for (NodeId n = 0; n < new_node; ++n) {
-      const auto& cells = host_cells_[static_cast<size_t>(n)];
-      const bool splittable =
-          cells.size() > 1 || (cells.size() == 1 && cells[0].Splittable());
-      if (splittable && load[static_cast<size_t>(n)] > victim_bytes) {
-        victim = n;
-        victim_bytes = load[static_cast<size_t>(n)];
-      }
-    }
-    ARRAYDB_CHECK_GE(victim, 0);
-    if (static_cast<size_t>(new_node) >= host_cells_.size()) {
-      host_cells_.resize(static_cast<size_t>(new_node) + 1);
-    }
-    SplitHost(victim, new_node, cluster);
-  }
-
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  const std::vector<cluster::ChunkRecord> chunks = cluster.AllChunks();
+  SplitMostLoadedHosts(
+      projection_, chunks, old_node_count, cluster.num_nodes(),
+      [this](const array::Coordinates& projected) {
+        return LocateProjected(projected);
+      },
+      // A host can shed cells when it owns several sibling cells, or one
+      // cell that is still subdividable.
+      [this](NodeId host) {
+        const auto& cells = host_cells_[static_cast<size_t>(host)];
+        return cells.size() > 1 ||
+               (cells.size() == 1 && cells[0].Splittable());
+      },
+      [this](NodeId victim, NodeId new_node,
+             const std::vector<ProjectedChunk>& victim_chunks) {
+        SplitHost(victim, new_node, victim_chunks);
+      });
+  return MovesToTable(chunks);
 }
 
 NodeId QuadtreePartitioner::Locate(
     const array::Coordinates& chunk_coords) const {
-  const array::Coordinates projected = projection_.Project(chunk_coords);
+  return LocateProjected(projection_.Project(chunk_coords));
+}
+
+NodeId QuadtreePartitioner::LocateProjected(
+    const array::Coordinates& projected) const {
   for (size_t h = 0; h < host_cells_.size(); ++h) {
     for (const Cell& c : host_cells_[h]) {
       if (c.Contains(projected)) return static_cast<NodeId>(h);

@@ -12,6 +12,9 @@
 //     pair closest to halving the storage moves instead.
 // This keeps contiguous chunks together (n-dimensional clustering) while
 // reacting directly to areas of skew, and ships data only to new nodes.
+// A scale-out reads one sorted placement snapshot and projects each chunk
+// once (SplitMostLoadedHosts); each split prices its candidate cells in one
+// pass over the victim's chunks.
 
 #ifndef ARRAYDB_CORE_QUADTREE_H_
 #define ARRAYDB_CORE_QUADTREE_H_
@@ -64,11 +67,13 @@ class QuadtreePartitioner final : public Partitioner {
   static bool CellsAdjacent(const Cell& a, const Cell& b);
   /// The up-to-2^d children produced by midpoint cuts of `parent`.
   static std::vector<Cell> Quarter(const Cell& parent);
+  /// Host whose cells contain a projected chunk position, or kInvalidNode.
+  NodeId LocateProjected(const array::Coordinates& projected) const;
   /// Splits host `victim` (per the class comment), assigning the carved
-  /// subset to `new_host`, pricing cells against `cluster`'s placement.
+  /// subset to `new_host`, pricing cells by `chunks` (the victim's current
+  /// contents, projected).
   void SplitHost(NodeId victim, NodeId new_host,
-                 const cluster::Cluster& cluster);
-  int64_t CellBytes(const Cell& cell, const cluster::Cluster& cluster) const;
+                 const std::vector<ProjectedChunk>& chunks);
 
   SpatialProjection projection_;
   int num_dims_;  // Projected dimensionality.

@@ -1,5 +1,8 @@
 #include "core/uniform_range.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "util/logging.h"
 
 namespace arraydb::core {
@@ -11,10 +14,10 @@ UniformRangePartitioner::UniformRangePartitioner(
   const array::Coordinates& extents = projection_.extents();
   bits_per_dim_.resize(extents.size());
   for (size_t d = 0; d < extents.size(); ++d) {
-    int bits = 0;
-    while ((1LL << bits) < extents[d]) ++bits;
-    bits_per_dim_[d] = bits;
-    height_ += bits;
+    // Bits to index extent e: ceil(log2(e)), taken in uint64 so an extent
+    // above 2^62 fails the height CHECK below instead of shifting by 64.
+    bits_per_dim_[d] = std::bit_width(static_cast<uint64_t>(extents[d]) - 1);
+    height_ += bits_per_dim_[d];
   }
   ARRAYDB_CHECK_LE(height_, 62);
   num_leaves_ = 1ULL << height_;
@@ -59,14 +62,7 @@ cluster::MovePlan UniformRangePartitioner::PlanScaleOut(
   num_nodes_ = cluster.num_nodes();
   // Global rebalance: every chunk is re-addressed against the new l/n
   // blocks; a cascade of moves may touch most of the cluster.
-  cluster::MovePlan plan;
-  for (const auto& rec : cluster.AllChunks()) {
-    const NodeId target = Locate(rec.coords);
-    if (target != rec.node) {
-      plan.Add(cluster::ChunkMove{rec.coords, rec.bytes, rec.node, target});
-    }
-  }
-  return plan;
+  return MovesToTable(cluster.AllChunks());
 }
 
 NodeId UniformRangePartitioner::Locate(

@@ -55,7 +55,7 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
   cost.minutes = params_.startup_minutes;
 
   // Gather the chunks this query touches, with their routed owners, in
-  // deterministic order.
+  // sorted chunk order (the PlacementView::ForEachChunk contract).
   std::vector<cluster::ChunkRecord> relevant;
   placement.ForEachChunk([&spec, &relevant](const array::Coordinates& coords,
                                             cluster::NodeId node,
@@ -65,10 +65,6 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
     }
   });
   if (relevant.empty()) return cost;
-  std::sort(relevant.begin(), relevant.end(),
-            [](const cluster::ChunkRecord& a, const cluster::ChunkRecord& b) {
-              return array::CoordinatesLess(a.coords, b.coords);
-            });
 
   const int num_nodes = placement.num_nodes();
   std::vector<double> node_minutes(static_cast<size_t>(num_nodes), 0.0);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -63,6 +65,29 @@ TEST(ArrayTest, RejectsOutOfRangeAndMalformedCells) {
   EXPECT_FALSE(a.InsertCell({1}, {0.0, 0.0}).ok());      // Wrong rank.
   EXPECT_FALSE(a.InsertCell({1, 1}, {0.0}).ok());        // Wrong attr count.
   EXPECT_EQ(a.total_cells(), 0);
+}
+
+TEST(ArrayTest, RejectsCellWhoseChunkIndexOverflows) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Unbounded time from -1 at interval 1: INT64_MAX lies 2^63 cells past lo
+  // and used to be filed under chunk INT64_MIN.
+  Array a(ArraySchema("T", {DimensionDesc{"t", -1, 0, 1, true}},
+                      {AttributeDesc{"v", AttrType::kDouble}}));
+  EXPECT_EQ(a.InsertCell({kMax}, {1.0}).code(), util::StatusCode::kOutOfRange);
+  EXPECT_EQ(a.total_cells(), 0);
+  EXPECT_EQ(a.num_chunks(), 0);
+  // One cell lower fits, at the largest chunk index.
+  ASSERT_TRUE(a.InsertCell({kMax - 1}, {1.0}).ok());
+  EXPECT_NE(a.FindChunk({kMax}), nullptr);
+
+  // The widest valid bounded dimension stores its last cell in its last
+  // chunk.
+  Array widest(ArraySchema("W", {DimensionDesc{"x", 0, kMax - 1, 1, false}},
+                           {AttributeDesc{"v", AttrType::kDouble}}));
+  ASSERT_TRUE(widest.InsertCell({kMax - 1}, {2.0}).ok());
+  EXPECT_NE(widest.FindChunk({kMax - 1}), nullptr);
+  EXPECT_EQ(widest.InsertCell({kMax}, {2.0}).code(),
+            util::StatusCode::kOutOfRange);
 }
 
 TEST(ArrayTest, SyntheticChunksEnforceNoOverwrite) {

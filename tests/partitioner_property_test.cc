@@ -7,14 +7,18 @@
 //     newly added nodes, verified against the substrate;
 //   * placement is deterministic across identical runs;
 //   * fine-grained schemes balance chunk counts; skew-aware schemes reduce
-//     the maximum node load when splitting under skew.
+//     the maximum node load when splitting under skew;
+//   * every scheme's scale-out plans match digests recorded before the
+//     planners were rewritten, and do not depend on insertion order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "array/schema.h"
@@ -254,6 +258,106 @@ TEST(PartitionerComparison, SkewAwareSplittersReduceMaxLoad) {
     EXPECT_LT(max_after, max_before)
         << PartitionerKindName(kind)
         << " did not reduce the hottest node when splitting";
+  }
+}
+
+// -------------------------------------------------------- Plan digests --
+
+// FNV-1a over the eight bytes of `word`, little end first.
+uint64_t FnvMix(uint64_t h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Places a seeded, skewed population of about 6k chunks on a 3-D grid
+// (in generation order, or reversed), then scales out from 2 to 12 nodes by
+// +1 and +2 steps, applying each plan. Returns one FNV-1a digest over every
+// plan's size and moves (coords, bytes, from, to) in plan order.
+uint64_t ScaleOutDigest(PartitionerKind kind, int growth_dim, bool reversed) {
+  const ArraySchema schema("digest",
+                           {DimensionDesc{"t", 0, 23, 1, false},
+                            DimensionDesc{"x", 0, 31, 1, false},
+                            DimensionDesc{"y", 0, 15, 1, false}},
+                           {AttributeDesc{"v", AttrType::kDouble}});
+  util::Rng rng(2026);
+  std::vector<ChunkInfo> chunks;
+  for (int64_t t = 0; t < 24; ++t) {
+    for (int64_t x = 0; x < 32; ++x) {
+      for (int64_t y = 0; y < 16; ++y) {
+        if (rng.NextDouble() < 0.5) continue;
+        // A hot corner and a hot late stretch carry most of the bytes.
+        const bool hot = (x < 6 && y < 4) || (t >= 18 && x >= 24);
+        ChunkInfo info;
+        info.coords = {t, x, y};
+        info.bytes = (hot ? 400000 : 2000) +
+                     static_cast<int64_t>(rng.NextBounded(hot ? 200000 : 6000));
+        info.cell_count = info.bytes / 8;
+        chunks.push_back(std::move(info));
+      }
+    }
+  }
+  if (reversed) std::reverse(chunks.begin(), chunks.end());
+
+  cluster::Cluster cluster(2, 1.0);
+  const auto partitioner = MakePartitioner(kind, schema, 2, 1.0, growth_dim);
+  for (const auto& c : chunks) {
+    const NodeId node = partitioner->PlaceChunk(cluster, c);
+    EXPECT_TRUE(cluster.PlaceChunk(c.coords, c.bytes, node).ok());
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const int step : {1, 2, 1, 2, 2, 1, 1}) {
+    const int old_count = cluster.num_nodes();
+    cluster.AddNodes(step);
+    const cluster::MovePlan plan =
+        partitioner->PlanScaleOut(cluster, old_count);
+    h = FnvMix(h, static_cast<uint64_t>(plan.num_chunks()));
+    for (const auto& m : plan.moves()) {
+      for (const int64_t v : m.coords) h = FnvMix(h, static_cast<uint64_t>(v));
+      h = FnvMix(h, static_cast<uint64_t>(m.bytes));
+      h = FnvMix(h, static_cast<uint64_t>(m.from));
+      h = FnvMix(h, static_cast<uint64_t>(m.to));
+    }
+    EXPECT_TRUE(cluster.Apply(plan).ok());
+  }
+  EXPECT_EQ(cluster.num_nodes(), 12);
+  EXPECT_EQ(cluster.num_chunks(), static_cast<int64_t>(chunks.size()));
+  return h;
+}
+
+// Plan digests recorded before every planner was rewritten to read one
+// sorted placement snapshot: each plan must stay byte-identical, with and
+// without a growth dimension, whatever order the chunks arrived in.
+TEST(PartitionerPropertyTest, ScaleOutPlansMatchRecordedDigests) {
+  using K = PartitionerKind;
+  constexpr int kFull = SpatialProjection::kNone;
+  const std::vector<std::tuple<PartitionerKind, int, uint64_t>> recorded = {
+      {K::kAppend, kFull, 0x8ac123d6f7dce585ULL},
+      {K::kAppend, 0, 0x8ac123d6f7dce585ULL},
+      {K::kConsistentHash, kFull, 0x53ca4a68daeba7eeULL},
+      {K::kConsistentHash, 0, 0x53ca4a68daeba7eeULL},
+      {K::kExtendibleHash, kFull, 0xffbf633626dafc2bULL},
+      {K::kExtendibleHash, 0, 0xffbf633626dafc2bULL},
+      {K::kHilbertCurve, kFull, 0x86055c2eb7a3a747ULL},
+      {K::kHilbertCurve, 0, 0xbc14e5f038ce82eaULL},
+      {K::kIncrementalQuadtree, kFull, 0xc67ecaedd0c9df9eULL},
+      {K::kIncrementalQuadtree, 0, 0xf0274b120235e8d7ULL},
+      {K::kKdTree, kFull, 0x7d88555d33409243ULL},
+      {K::kKdTree, 0, 0x17992775e9a91e61ULL},
+      {K::kRoundRobin, kFull, 0x551aaaeaaf284599ULL},
+      {K::kRoundRobin, 0, 0x551aaaeaaf284599ULL},
+      {K::kUniformRange, kFull, 0x437756e40aaf9eb4ULL},
+      {K::kUniformRange, 0, 0xb512dda05c8b4fc3ULL},
+  };
+  for (const auto& [kind, growth_dim, digest] : recorded) {
+    for (const bool reversed : {false, true}) {
+      EXPECT_EQ(ScaleOutDigest(kind, growth_dim, reversed), digest)
+          << PartitionerKindName(kind) << " growth_dim=" << growth_dim
+          << (reversed ? " (reversed)" : "") << " digest 0x" << std::hex
+          << ScaleOutDigest(kind, growth_dim, reversed);
+    }
   }
 }
 

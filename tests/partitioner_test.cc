@@ -50,6 +50,15 @@ ChunkInfo MakeChunk(Coordinates coords, int64_t bytes) {
   return info;
 }
 
+// Node with the most stored bytes; ties break toward the lower id.
+NodeId MostLoadedNode(const cluster::Cluster& cluster) {
+  NodeId best = 0;
+  for (NodeId n = 1; n < cluster.num_nodes(); ++n) {
+    if (cluster.NodeBytes(n) > cluster.NodeBytes(best)) best = n;
+  }
+  return best;
+}
+
 // ---------------------------------------------------------------- Append --
 
 TEST(AppendTest, FillsNodesInOrder) {
@@ -473,6 +482,31 @@ TEST(UniformRangeTest, LeavesAreGridSlots) {
     }
   }
   EXPECT_EQ(leaves.size(), 256u);  // Bijective on the padded grid.
+}
+
+ArraySchema LineSchema(int64_t extent) {
+  return ArraySchema("line", {DimensionDesc{"x", 0, extent - 1, 1, false}},
+                     {AttributeDesc{"v", AttrType::kDouble}});
+}
+
+TEST(UniformRangeTest, TreeHeightIsCeilLog2OfExtent) {
+  // Extents 1..5 need 0, 1, 2, 2 and 3 bits.
+  const uint64_t leaves[] = {1, 2, 4, 4, 8};
+  for (int64_t extent = 1; extent <= 5; ++extent) {
+    EXPECT_EQ(UniformRangePartitioner(LineSchema(extent), 1).num_leaves(),
+              leaves[extent - 1])
+        << "extent " << extent;
+  }
+  EXPECT_EQ(
+      UniformRangePartitioner(LineSchema(int64_t{1} << 62), 1).num_leaves(),
+      uint64_t{1} << 62);
+}
+
+TEST(UniformRangeDeathTest, ExtentAbove2To62FailsTheHeightCheck) {
+  // 2^62 + 2 chunks need 63 bits: the height CHECK fires rather than the
+  // bit count shifting by 64 and never ending.
+  const ArraySchema schema = LineSchema((int64_t{1} << 62) + 2);
+  EXPECT_DEATH(UniformRangePartitioner(schema, 1), "height_ <= 62");
 }
 
 TEST(UniformRangeTest, BlocksAreBalancedByLeafCount) {

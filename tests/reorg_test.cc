@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -173,6 +174,38 @@ TEST(DualResidencyViewTest, RoutesReadsToSourceUntilRelease) {
   ASSERT_TRUE(f.cluster.FinishApply().ok());
   EXPECT_EQ(view.OwnerOf({4}), 2);  // Released: routed to the new owner.
   EXPECT_FALSE(view.IsDualResident({4}));
+}
+
+TEST(DualResidencyViewTest, ForEachChunkEnumeratesInSortedOrder) {
+  // Chunks placed out of order; the plan moves some of them in reverse
+  // order, and the view is read with one increment committed.
+  Cluster cluster(2, 1.0);
+  for (const int64_t x : {3, 0, 5, 1, 4, 2}) {
+    for (const int64_t y : {1, 0}) {
+      ASSERT_TRUE(cluster.PlaceChunk({x, y}, kMiB, x % 2 == 0 ? 0 : 1).ok());
+    }
+  }
+  const NodeId first_new = cluster.AddNodes(1);
+  MovePlan plan;
+  for (const int64_t x : {4, 2, 0}) {
+    plan.Add(ChunkMove{{x, 1}, kMiB, 0, first_new});
+  }
+  ASSERT_TRUE(cluster.BeginApply(plan).ok());
+  ASSERT_TRUE(cluster.AdvanceIncrement(kMiB).ok());
+  ASSERT_TRUE(cluster.CommitIncrement().ok());
+
+  DualResidencyView view(cluster);
+  ASSERT_TRUE(view.IsDualResident({4, 1}));
+  std::vector<array::Coordinates> order;
+  view.ForEachChunk([&](const array::Coordinates& coords, NodeId node,
+                        int64_t) {
+    order.push_back(coords);
+    EXPECT_EQ(node, coords[0] % 2 == 0 ? 0 : 1);  // Pinned to the source.
+  });
+  ASSERT_EQ(order.size(), 12u);
+  auto sorted = order;
+  std::sort(sorted.begin(), sorted.end(), array::CoordinatesLess);
+  EXPECT_EQ(order, sorted);
 }
 
 TEST(ReorgEngineTest, DrainsInBudgetedIncrements) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "array/schema.h"
 
 namespace arraydb::array {
@@ -100,6 +104,66 @@ TEST(SchemaTest, ValidationCatchesErrors) {
                            {AttributeDesc{"v", AttrType::kDouble}})
                    .Validate()
                    .ok());
+}
+
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+
+ArraySchema OneDimSchema(DimensionDesc dim) {
+  return ArraySchema("A", {std::move(dim)},
+                     {AttributeDesc{"v", AttrType::kDouble}});
+}
+
+TEST(SchemaTest, ExtentAboveInt64IsRejected) {
+  // An extent hi - lo + 1 of 2^63 or more used to wrap to INT64_MIN chunks.
+  for (const DimensionDesc& dim : {DimensionDesc{"x", 0, kMax, 1, false},
+                                   DimensionDesc{"x", kMin, -1, 7, false},
+                                   DimensionDesc{"x", kMin, kMax, 1, false}}) {
+    EXPECT_EQ(OneDimSchema(dim).Validate().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  // The widest valid dimensions span exactly INT64_MAX cells.
+  for (const DimensionDesc& dim : {DimensionDesc{"x", 0, kMax - 1, 1, false},
+                                   DimensionDesc{"x", kMin, -2, 1, false},
+                                   DimensionDesc{"x", 1, kMax, 1, false}}) {
+    const ArraySchema widest = OneDimSchema(dim);
+    ASSERT_TRUE(widest.Validate().ok());
+    EXPECT_EQ(dim.Extent(), kMax);
+    EXPECT_EQ(widest.ChunkGridExtents(), (Coordinates{kMax}));
+    EXPECT_EQ(dim.ChunkIndexOf(dim.hi), kMax - 1);
+  }
+}
+
+TEST(SchemaTest, ChunkCountRoundsUpNearInt64Max) {
+  // Extent INT64_MAX = 4 * 2^61 - 1 at interval 4: 2^61 chunks, where the
+  // `extent + interval - 1` form overflowed to a negative count.
+  const DimensionDesc dim{"x", 0, kMax - 1, 4, false};
+  ASSERT_TRUE(OneDimSchema(dim).Validate().ok());
+  EXPECT_EQ(dim.ChunkCount(), int64_t{1} << 61);
+  EXPECT_EQ(OneDimSchema(dim).ChunkGridExtents(),
+            (Coordinates{int64_t{1} << 61}));
+  EXPECT_EQ(dim.ChunkIndexOf(kMax - 1), (int64_t{1} << 61) - 1);
+  EXPECT_EQ(DimensionDesc({"x", 0, kMax - 1, 2, false}).ChunkCount(),
+            int64_t{1} << 62);
+}
+
+TEST(SchemaTest, ChunkIndexAtInt64Extremes) {
+  // Interval 1 from lo = -1: INT64_MAX lies 2^63 cells past lo.
+  const DimensionDesc time{"t", -1, 0, 1, true};
+  EXPECT_FALSE(time.ChunkIndexFits(kMax));
+  EXPECT_TRUE(time.ChunkIndexFits(kMax - 1));
+  EXPECT_EQ(time.ChunkIndexOf(kMax - 1), kMax);
+  // Any interval of 2 or more halves the offset into range.
+  const DimensionDesc pairs{"t", -1, 0, 2, true};
+  EXPECT_TRUE(pairs.ChunkIndexFits(kMax));
+  EXPECT_EQ(pairs.ChunkIndexOf(kMax), int64_t{1} << 62);
+  // Below lo (tolerated on unbounded dims), the index floors toward -inf.
+  const DimensionDesc top{"t", kMax, 0, 1, true};
+  EXPECT_TRUE(top.ChunkIndexFits(-1));
+  EXPECT_EQ(top.ChunkIndexOf(-1), kMin);
+  EXPECT_FALSE(top.ChunkIndexFits(-2));
+  EXPECT_EQ(DimensionDesc({"t", 0, 0, 4, true}).ChunkIndexOf(kMin),
+            -(int64_t{1} << 61));
 }
 
 TEST(SchemaTest, UnboundedDimensionRendersStar) {
