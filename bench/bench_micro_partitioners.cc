@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "array/schema.h"
@@ -84,15 +85,23 @@ void BM_Locate(benchmark::State& state) {
 void BM_PlanScaleOut(benchmark::State& state) {
   const auto kind = static_cast<core::PartitionerKind>(state.range(0));
   const auto schema = BenchSchema();
+  // Live across iterations so the previous iteration's objects are
+  // destroyed below, while timing is paused, not at the end of the timed
+  // region.
+  std::optional<cluster::Cluster> cluster;
+  std::unique_ptr<core::Partitioner> partitioner;
+  cluster::MovePlan plan;
   for (auto _ : state) {
     state.PauseTiming();
-    cluster::Cluster cluster(4, 100.0);
-    auto partitioner = core::MakePartitioner(kind, schema, 4, 100.0);
+    plan = cluster::MovePlan();
+    partitioner.reset();
+    cluster.emplace(4, 100.0);
+    partitioner = core::MakePartitioner(kind, schema, 4, 100.0);
     util::Rng rng(13);
-    Populate(*partitioner, cluster, 2000, rng);
-    cluster.AddNodes(2);
+    Populate(*partitioner, *cluster, 2000, rng);
+    cluster->AddNodes(2);
     state.ResumeTiming();
-    auto plan = partitioner->PlanScaleOut(cluster, 4);
+    plan = partitioner->PlanScaleOut(*cluster, 4);
     benchmark::DoNotOptimize(plan);
   }
   state.SetLabel(core::PartitionerKindName(kind));

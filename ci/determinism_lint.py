@@ -487,7 +487,27 @@ def extract_macro_args(stripped, start_paren):
     return None, n
 
 
-RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;)]*?):([^;{]*)\)")
+FOR_HEAD_RE = re.compile(r"\bfor\s*\(")
+# The range-for colon: a lone `:`, never half of a `::` scope operator.
+RANGE_COLON_RE = re.compile(r"(?<!:):(?!:)")
+
+
+def range_for_ranges(stripped):
+    """Yields (start, range expression) for every range-for header.
+
+    The header ends at the parenthesis that closes ``for (``, so the body of
+    a braceless one-liner (``for (x : v) m.at(x.k) = 0;``) is never read as
+    part of the range expression.
+    """
+    for m in FOR_HEAD_RE.finditer(stripped):
+        header, _ = extract_macro_args(stripped, m.end() - 1)
+        if header is None or ";" in header:
+            continue
+        colon = RANGE_COLON_RE.search(header)
+        if colon:
+            yield m.start(), header[colon.end() :]
+
+
 # Iteration needs begin(); a bare `.end()` is the find-lookup idiom
 # (`it == m.end()`), which does not expose hash order.
 BEGIN_RE = re.compile(r"\b(\w+)\s*\.\s*c?begin\s*\(")
@@ -601,16 +621,16 @@ def lint_file(path, decls, args, ast_range_for=None):
                 )
                 seen_lines.add(line_no)
         else:
-            for m in RANGE_FOR_RE.finditer(stripped):
-                line_no = stripped.count("\n", 0, m.start()) + 1
-                if references_unordered(m.group(2), line_no):
+            for start, expr in range_for_ranges(stripped):
+                line_no = stripped.count("\n", 0, start) + 1
+                if references_unordered(expr, line_no):
                     findings.append(
                         Finding(
                             path,
                             line_no,
                             "R1",
                             "range-for over an unordered container "
-                            f"(`{m.group(2).strip()}`): hash order is not "
+                            f"(`{expr.strip()}`): hash order is not "
                             "deterministic",
                         )
                     )

@@ -141,39 +141,10 @@ Coordinates ArraySchema::ChunkGridExtents() const {
   return out;
 }
 
-int64_t ArraySchema::TotalChunkSlots() const {
-  int64_t total = 1;
-  for (const auto& d : dims_) total *= d.ChunkCount();
-  return total;
-}
-
 int64_t ArraySchema::CellsPerChunkCap() const {
   int64_t total = 1;
   for (const auto& d : dims_) total *= d.chunk_interval;
   return total;
-}
-
-int64_t ArraySchema::LinearizeChunkIndex(const Coordinates& chunk_coords) const {
-  ARRAYDB_CHECK_EQ(chunk_coords.size(), dims_.size());
-  int64_t index = 0;
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    const int64_t count = dims_[i].ChunkCount();
-    ARRAYDB_CHECK_GE(chunk_coords[i], 0);
-    ARRAYDB_CHECK_LT(chunk_coords[i], count);
-    index = index * count + chunk_coords[i];
-  }
-  return index;
-}
-
-Coordinates ArraySchema::DelinearizeChunkIndex(int64_t index) const {
-  Coordinates out(dims_.size());
-  for (size_t i = dims_.size(); i-- > 0;) {
-    const int64_t count = dims_[i].ChunkCount();
-    out[i] = index % count;
-    index /= count;
-  }
-  ARRAYDB_CHECK_EQ(index, 0);
-  return out;
 }
 
 bool ArraySchema::ChunkInBounds(const Coordinates& chunk_coords) const {

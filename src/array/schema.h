@@ -92,16 +92,8 @@ class ArraySchema {
   /// Extent of the chunk grid in each dimension (bounded dims only).
   Coordinates ChunkGridExtents() const;
 
-  /// Total number of chunk slots in the (bounded) grid.
-  int64_t TotalChunkSlots() const;
-
   /// Maximum number of cells a chunk can hold (product of chunk intervals).
   int64_t CellsPerChunkCap() const;
-
-  /// Row-major linearization of chunk-grid coordinates; requires bounded
-  /// dims. Inverse of DelinearizeChunkIndex.
-  int64_t LinearizeChunkIndex(const Coordinates& chunk_coords) const;
-  Coordinates DelinearizeChunkIndex(int64_t index) const;
 
   /// True if `chunk_coords` lies inside the declared chunk grid.
   bool ChunkInBounds(const Coordinates& chunk_coords) const;

@@ -1,6 +1,8 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -49,26 +51,52 @@ util::Status Cluster::PlaceChunk(const array::Coordinates& coords,
 }
 
 util::Status Cluster::ValidatePlan(const MovePlan& plan) const {
+  // Each move's record with its plan position, for the duplicate check.
+  std::vector<std::pair<const ChunkRecord*, size_t>> found;
+  found.reserve(plan.moves().size());
   for (const auto& m : plan.moves()) {
-    const auto it = chunk_map_.find(m.coords);
-    if (it == chunk_map_.end()) {
-      return util::NotFound("move of unknown chunk " +
-                            array::CoordinatesToString(m.coords));
+    const auto name = [&m] { return array::CoordinatesToString(m.coords); };
+    if (m.from < 0 || m.from >= num_nodes() || m.to < 0 ||
+        m.to >= num_nodes()) {
+      return util::InvalidArgument(util::StrFormat(
+          "move of %s from node %d to node %d names a node outside [0, %d)",
+          name().c_str(), m.from, m.to, num_nodes()));
     }
-    if (it->second.node != m.from) {
-      return util::FailedPrecondition(util::StrFormat(
-          "move of %s claims owner %d but cluster records %d",
-          array::CoordinatesToString(m.coords).c_str(), m.from,
-          it->second.node));
+    if (m.from == m.to) {
+      return util::InvalidArgument(util::StrFormat(
+          "move of %s from node %d to itself", name().c_str(), m.from));
     }
-    if (it->second.bytes != m.bytes) {
+    const ChunkRecord* rec = Find(m.coords);
+    if (rec == nullptr) {
+      return util::NotFound("move of unknown chunk " + name());
+    }
+    if (rec->node != m.from) {
+      return util::FailedPrecondition(
+          util::StrFormat("move of %s claims owner %d but cluster records %d",
+                          name().c_str(), m.from, rec->node));
+    }
+    if (rec->bytes != m.bytes) {
       return util::FailedPrecondition("move byte count mismatch for " +
-                                      array::CoordinatesToString(m.coords));
+                                      name());
     }
-    if (m.to < 0 || m.to >= num_nodes()) {
-      return util::InvalidArgument(
-          util::StrFormat("move to unknown node %d", m.to));
+    found.emplace_back(rec, found.size());
+  }
+  // Moves of one chunk sort adjacent and stay in plan order; report the
+  // earliest move whose chunk already appeared.
+  const auto by_record = [](const auto& a, const auto& b) {
+    return std::less<const ChunkRecord*>()(a.first, b.first);
+  };
+  std::stable_sort(found.begin(), found.end(), by_record);
+  size_t repeat = found.size();
+  for (size_t i = 1; i < found.size(); ++i) {
+    if (found[i].first == found[i - 1].first) {
+      repeat = std::min(repeat, found[i].second);
     }
+  }
+  if (repeat < found.size()) {
+    return util::InvalidArgument(
+        "duplicate move of chunk " +
+        array::CoordinatesToString(plan.moves()[repeat].coords));
   }
   return util::Status::Ok();
 }
@@ -83,10 +111,12 @@ void Cluster::FlipOwner(const array::Coordinates& coords, NodeId to) {
 }
 
 void Cluster::ReleaseReorg() {
+  for (const auto& m : pending_moves_) {
+    chunk_map_.at(m.coords).source = kInvalidNode;
+  }
   pending_moves_.clear();
   pending_cursor_ = 0;
   in_flight_end_ = 0;
-  source_replicas_.clear();
   ++reorg_epoch_;
 }
 
@@ -113,12 +143,7 @@ util::Status Cluster::BeginApply(const MovePlan& plan) {
   pending_moves_ = plan.moves();
   pending_cursor_ = 0;
   in_flight_end_ = 0;
-  source_replicas_.reserve(pending_moves_.size());
-  for (const auto& m : pending_moves_) {
-    // A plan never names the same chunk twice (validated owners would
-    // mismatch); record each source residency.
-    source_replicas_.emplace(m.coords, m.from);
-  }
+  for (const auto& m : pending_moves_) chunk_map_.at(m.coords).source = m.from;
   return util::Status::Ok();
 }
 
@@ -275,17 +300,12 @@ util::StatusOr<Cluster::RerouteStats> Cluster::RerouteDeadDestination(
   return stats;
 }
 
-NodeId Cluster::SourceReplicaOf(const array::Coordinates& coords) const {
-  const auto it = source_replicas_.find(coords);
-  return it == source_replicas_.end() ? kInvalidNode : it->second;
-}
-
 bool Cluster::Lookup(const array::Coordinates& coords, NodeId* node,
                      int64_t* bytes) const {
-  const auto it = chunk_map_.find(coords);
-  if (it == chunk_map_.end()) return false;
-  *node = it->second.node;
-  *bytes = it->second.bytes;
+  const ChunkRecord* rec = Find(coords);
+  if (rec == nullptr) return false;
+  *node = rec->node;
+  *bytes = rec->bytes;
   return true;
 }
 
@@ -298,15 +318,6 @@ void Cluster::ForEachChunk(
   for (const ChunkRecord& rec : AllChunks()) {
     fn(rec.coords, rec.node, rec.bytes);
   }
-}
-
-NodeId Cluster::OwnerOf(const array::Coordinates& coords) const {
-  const auto it = chunk_map_.find(coords);
-  return it == chunk_map_.end() ? kInvalidNode : it->second.node;
-}
-
-bool Cluster::Contains(const array::Coordinates& coords) const {
-  return chunk_map_.contains(coords);
 }
 
 int64_t Cluster::NodeBytes(NodeId node) const {

@@ -10,12 +10,13 @@
 // A MovePlan is realized either atomically (Apply) or incrementally
 // (BeginApply / AdvanceIncrement / CommitIncrement / FinishApply): the plan
 // is staged, sliced into byte-budgeted increments, and each increment is
-// copied then flipped while the cluster keeps serving reads. Until
+// copied then flipped while the cluster keeps serving reads. Both paths run
+// the same plan validator, so they accept and reject the same plans. Until
 // FinishApply releases the reorganization, every chunk covered by the plan
-// retains a readable replica at its *source* node (dual residency); the
-// query-routing snapshot (SourceReplicaOf, consumed by
-// reorg::DualResidencyView) pins reads to that source residency so results
-// are independent of how far the migration has progressed.
+// retains a readable replica at its *source* node (dual residency), recorded
+// in the chunk's own ChunkRecord::source; reorg::DualResidencyView routes
+// reads to that source so results are independent of how far the migration
+// has progressed.
 
 #ifndef ARRAYDB_CLUSTER_CLUSTER_H_
 #define ARRAYDB_CLUSTER_CLUSTER_H_
@@ -37,7 +38,15 @@ namespace arraydb::cluster {
 struct ChunkRecord {
   array::Coordinates coords;
   int64_t bytes = 0;
+  /// Authoritative owner; flips per committed increment mid-reorg.
   NodeId node = kInvalidNode;
+  /// Retained source replica while an active reorganization covers the
+  /// chunk, else kInvalidNode.
+  NodeId source = kInvalidNode;
+
+  /// Node a read of this chunk is routed to: the source replica while one
+  /// is retained, else the owner.
+  NodeId ReadNode() const { return source != kInvalidNode ? source : node; }
 };
 
 class Cluster : public PlacementView {
@@ -61,8 +70,12 @@ class Cluster : public PlacementView {
   util::Status PlaceChunk(const array::Coordinates& coords, int64_t bytes,
                           NodeId node);
 
-  /// Applies a move plan atomically; every move must name the chunk's
-  /// current owner. Fails while an incremental reorganization is active.
+  /// Applies a move plan atomically. Every move must name a stored chunk
+  /// with its recorded owner and size, and a different destination node in
+  /// range; no chunk may appear twice. Structural faults (node range,
+  /// self-move, duplicate) return InvalidArgument; placement faults return
+  /// NotFound or FailedPrecondition. Nothing changes on failure. Fails while
+  /// an incremental reorganization is active.
   util::Status Apply(const MovePlan& plan);
 
   // -- Incremental application (copy-then-flip) -----------------------------
@@ -157,21 +170,34 @@ class Cluster : public PlacementView {
     return static_cast<int64_t>(pending_moves_.size() - pending_cursor_);
   }
 
-  /// Source node of the retained read replica for a chunk covered by the
-  /// active reorganization, or kInvalidNode when the chunk is not dual
-  /// resident. This is the routing snapshot queries pin to mid-reorg.
-  NodeId SourceReplicaOf(const array::Coordinates& coords) const;
+  /// ChunkRecord::source of a stored chunk: the retained read replica while
+  /// the active reorganization covers it, else kInvalidNode (also when the
+  /// chunk is not stored).
+  NodeId SourceReplicaOf(const array::Coordinates& coords) const {
+    const ChunkRecord* rec = Find(coords);
+    return rec == nullptr ? kInvalidNode : rec->source;
+  }
 
   /// Monotone counter bumped on every commit and on reorg release; lets
   /// cached views detect staleness.
   uint64_t reorg_epoch() const { return reorg_epoch_; }
 
+  /// The placement record of a stored chunk, or nullptr. Chunks are never
+  /// erased, so the pointer stays valid for the cluster's lifetime.
+  const ChunkRecord* Find(const array::Coordinates& coords) const {
+    const auto it = chunk_map_.find(coords);
+    return it == chunk_map_.end() ? nullptr : &it->second;
+  }
+
   /// Owner of a chunk, or kInvalidNode if the chunk is not stored. During an
   /// incremental reorganization this is the *authoritative* owner (flipped
-  /// per increment); query routing goes through SourceReplicaOf instead.
-  NodeId OwnerOf(const array::Coordinates& coords) const override;
+  /// per increment); query routing reads ChunkRecord::ReadNode instead.
+  NodeId OwnerOf(const array::Coordinates& coords) const {
+    const ChunkRecord* rec = Find(coords);
+    return rec == nullptr ? kInvalidNode : rec->node;
+  }
 
-  // PlacementView: routed lookups against the committed state.
+  // PlacementView: lookups against the authoritative owners.
   bool Lookup(const array::Coordinates& coords, NodeId* node,
               int64_t* bytes) const override;
   void ForEachChunk(
@@ -179,7 +205,9 @@ class Cluster : public PlacementView {
           fn) const override;
 
   /// True if a chunk with these coordinates is stored.
-  bool Contains(const array::Coordinates& coords) const;
+  bool Contains(const array::Coordinates& coords) const {
+    return Find(coords) != nullptr;
+  }
 
   int64_t num_chunks() const { return static_cast<int64_t>(chunk_map_.size()); }
 
@@ -215,6 +243,7 @@ class Cluster : public PlacementView {
   }
 
  private:
+  /// The one plan check Apply and BeginApply run (rules at Apply).
   util::Status ValidatePlan(const MovePlan& plan) const;
   /// Moves a stored chunk's ownership (and its byte and chunk counts) to
   /// `to`. The one place an ownership flip is written.
@@ -229,14 +258,12 @@ class Cluster : public PlacementView {
       chunk_map_;
   int64_t total_bytes_ = 0;
 
-  // Incremental-reorg staging: the plan's moves in order, a cursor to the
-  // first uncommitted move, the in-flight slice [pending_cursor_,
-  // in_flight_end_), and the retained source replicas for routing.
+  // Incremental-reorg staging: the plan's moves in order (every staged chunk
+  // has its ChunkRecord::source set), a cursor to the first uncommitted
+  // move, and the in-flight slice [pending_cursor_, in_flight_end_).
   std::vector<ChunkMove> pending_moves_;
   size_t pending_cursor_ = 0;
   size_t in_flight_end_ = 0;
-  std::unordered_map<array::Coordinates, NodeId, array::CoordinatesHash>
-      source_replicas_;
   uint64_t reorg_epoch_ = 0;
 };
 

@@ -4,9 +4,10 @@
 // incremental reorganization (src/reorg/) the routing table a query consults
 // is a dual-residency view where migrating chunks remain readable at their
 // source node. Everything that *reads* placement (exec::QueryEngine, load
-// diagnostics) takes a PlacementView; Cluster implements it directly for the
-// quiesced case and reorg::DualResidencyView implements it for clusters with
-// a reorganization in flight.
+// diagnostics) takes a PlacementView; Cluster implements it with the
+// authoritative owners, and reorg::DualResidencyView implements it with each
+// chunk's read node (ChunkRecord::ReadNode), which pins a migrating chunk to
+// its source replica.
 
 #ifndef ARRAYDB_CLUSTER_PLACEMENT_VIEW_H_
 #define ARRAYDB_CLUSTER_PLACEMENT_VIEW_H_
@@ -25,11 +26,8 @@ class PlacementView {
 
   virtual int num_nodes() const = 0;
 
-  /// Node a read of this chunk is routed to, or kInvalidNode when the chunk
-  /// is not stored.
-  virtual NodeId OwnerOf(const array::Coordinates& coords) const = 0;
-
-  /// Routed owner and physical size in one lookup; false when absent.
+  /// Node a read of this chunk is routed to and its physical size, in one
+  /// lookup; false when the chunk is not stored.
   virtual bool Lookup(const array::Coordinates& coords, NodeId* node,
                       int64_t* bytes) const = 0;
 

@@ -1,7 +1,5 @@
 #include "cluster/transfer.h"
 
-#include <unordered_set>
-
 #include "util/strings.h"
 #include "util/units.h"
 
@@ -24,35 +22,6 @@ std::string MovePlan::Summary() const {
   return util::StrFormat("%lld chunks, %s moved",
                          static_cast<long long>(num_chunks()),
                          util::HumanBytes(static_cast<double>(TotalBytes())).c_str());
-}
-
-util::Status ValidatePlanShape(const MovePlan& plan, int num_nodes) {
-  std::unordered_set<array::Coordinates, array::CoordinatesHash> seen;
-  seen.reserve(plan.moves().size());
-  for (const auto& m : plan.moves()) {
-    const std::string coords = array::CoordinatesToString(m.coords);
-    if (m.from < 0 || m.from >= num_nodes) {
-      return util::InvalidArgument(util::StrFormat(
-          "move of %s from invalid node %d", coords.c_str(), m.from));
-    }
-    if (m.to < 0 || m.to >= num_nodes) {
-      return util::InvalidArgument(util::StrFormat(
-          "move of %s to invalid node %d", coords.c_str(), m.to));
-    }
-    if (m.from == m.to) {
-      return util::InvalidArgument(util::StrFormat(
-          "move of %s from node %d to itself", coords.c_str(), m.from));
-    }
-    if (m.bytes <= 0) {
-      return util::InvalidArgument(util::StrFormat(
-          "move of %s with non-positive size %lld", coords.c_str(),
-          static_cast<long long>(m.bytes)));
-    }
-    if (!seen.insert(m.coords).second) {
-      return util::InvalidArgument("duplicate move of chunk " + coords);
-    }
-  }
-  return util::Status::Ok();
 }
 
 }  // namespace arraydb::cluster

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "array/coordinates.h"
-#include "util/status.h"
 
 namespace arraydb::cluster {
 
@@ -46,14 +45,6 @@ class MovePlan {
  private:
   std::vector<ChunkMove> moves_;
 };
-
-/// Structural validation of a plan against a cluster of `num_nodes` nodes,
-/// independent of placement state: every move's node ids must be in
-/// [0, num_nodes) with from != to, bytes must be positive, and no chunk may
-/// appear twice. Returns InvalidArgument naming the first offending move.
-/// (Cluster::Apply/BeginApply separately validate against live placement:
-/// chunk exists, owner matches, byte count matches.)
-util::Status ValidatePlanShape(const MovePlan& plan, int num_nodes);
 
 }  // namespace arraydb::cluster
 

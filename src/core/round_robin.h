@@ -7,6 +7,9 @@
 #ifndef ARRAYDB_CORE_ROUND_ROBIN_H_
 #define ARRAYDB_CORE_ROUND_ROBIN_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "core/partitioner.h"
 
 namespace arraydb::core {
@@ -26,8 +29,13 @@ class RoundRobinPartitioner final : public Partitioner {
   NodeId Locate(const array::Coordinates& chunk_coords) const override;
 
  private:
-  array::ArraySchema schema_;
-  int num_nodes_;
+  void SetNodeCount(int n);
+
+  /// Chunk-grid extent per dimension (0 for an unbounded one, which Locate
+  /// rejects), and each extent modulo num_nodes_.
+  std::vector<int64_t> counts_;
+  std::vector<uint64_t> counts_mod_n_;
+  int num_nodes_ = 0;
 };
 
 }  // namespace arraydb::core

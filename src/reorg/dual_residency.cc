@@ -2,29 +2,21 @@
 
 namespace arraydb::reorg {
 
-cluster::NodeId DualResidencyView::OwnerOf(
-    const array::Coordinates& coords) const {
-  const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-  if (source != cluster::kInvalidNode) return source;
-  return cluster_->OwnerOf(coords);
-}
-
 bool DualResidencyView::Lookup(const array::Coordinates& coords,
                                cluster::NodeId* node, int64_t* bytes) const {
-  if (!cluster_->Lookup(coords, node, bytes)) return false;
-  const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-  if (source != cluster::kInvalidNode) *node = source;
+  const cluster::ChunkRecord* rec = cluster_->Find(coords);
+  if (rec == nullptr) return false;
+  *node = rec->ReadNode();
+  *bytes = rec->bytes;
   return true;
 }
 
 void DualResidencyView::ForEachChunk(
     const std::function<void(const array::Coordinates&, cluster::NodeId,
                              int64_t)>& fn) const {
-  cluster_->ForEachChunk([this, &fn](const array::Coordinates& coords,
-                                     cluster::NodeId node, int64_t bytes) {
-    const cluster::NodeId source = cluster_->SourceReplicaOf(coords);
-    fn(coords, source != cluster::kInvalidNode ? source : node, bytes);
-  });
+  for (const cluster::ChunkRecord& rec : cluster_->AllChunks()) {
+    fn(rec.coords, rec.ReadNode(), rec.bytes);
+  }
 }
 
 }  // namespace arraydb::reorg

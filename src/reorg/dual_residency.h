@@ -5,10 +5,11 @@
 // dual resident: the authoritative owner flips per committed increment
 // (visible in Cluster::OwnerOf and the per-node byte accounting), but the
 // source node retains a readable replica until Cluster::FinishApply releases
-// the whole reorganization. This view routes reads to that retained source
-// residency, so queries interleaved with migration observe one consistent
-// snapshot — the pre-reorganization placement plus any chunks inserted since
-// — regardless of how many increments have committed. That pinning is what
+// the whole reorganization. The chunk's placement record carries that source
+// (ChunkRecord::source), and this view routes reads to it
+// (ChunkRecord::ReadNode), so queries interleaved with migration observe one
+// consistent snapshot — the pre-reorganization placement plus any chunks
+// inserted since — regardless of how many increments have committed. That pinning is what
 // makes interleaved query results bit-identical to a quiesced cluster and
 // independent of increment sizing and thread counts.
 //
@@ -33,20 +34,12 @@ class DualResidencyView final : public cluster::PlacementView {
 
   int num_nodes() const override { return cluster_->num_nodes(); }
 
-  cluster::NodeId OwnerOf(const array::Coordinates& coords) const override;
-
   bool Lookup(const array::Coordinates& coords, cluster::NodeId* node,
               int64_t* bytes) const override;
 
   void ForEachChunk(
       const std::function<void(const array::Coordinates&, cluster::NodeId,
                                int64_t)>& fn) const override;
-
-  /// True when the chunk currently has a retained source replica (i.e. it is
-  /// covered by the active reorganization).
-  bool IsDualResident(const array::Coordinates& coords) const {
-    return cluster_->SourceReplicaOf(coords) != cluster::kInvalidNode;
-  }
 
   const cluster::Cluster& cluster() const { return *cluster_; }
 

@@ -83,14 +83,9 @@ util::Status IncrementalReorgEngine::Begin(const cluster::MovePlan& plan,
     return util::InvalidArgument(
         "ReorgOptions.increment_timeout_minutes must be positive");
   }
-  // Structural screen before any staging: malformed plans (self-moves,
-  // out-of-range nodes, non-positive sizes, duplicate chunks) are caller
-  // bugs, rejected with InvalidArgument naming the offending move.
-  if (auto status = cluster::ValidatePlanShape(plan, cluster_->num_nodes());
-      !status.ok()) {
+  if (auto status = cluster_->BeginApply(plan); !status.ok()) {
     return util::Annotate(status, "reorg plan rejected at Begin");
   }
-  if (auto status = cluster_->BeginApply(plan); !status.ok()) return status;
   TELEM_COUNTER_ADD("reorg.engine.plans", 1);
   // Every Begin — including an abort-and-restart — advances the plan
   // ordinal, so a restarted plan draws fresh fault fates instead of

@@ -259,7 +259,8 @@ class IncrementalReorgEngine {
   /// check. An empty plan completes immediately (active() stays false).
   /// Fails with InvalidArgument when no budget callback is set and
   /// increment_gb is non-positive or non-finite (previously an unchecked
-  /// constructor abort).
+  /// constructor abort). A plan Cluster::BeginApply rejects fails with that
+  /// status, annotated "reorg plan rejected at Begin".
   util::Status Begin(const cluster::MovePlan& plan,
                      cluster::NodeId first_new_node);
 

@@ -228,7 +228,10 @@ TEST(ArbitratedReorgTest, MidReorgPacedQueriesMatchQuiescedCluster) {
   }
   ASSERT_TRUE(engine.Finish().ok());
   // Released: the migrated chunks now read from the new node.
-  EXPECT_EQ(view.OwnerOf({4}), first_new);
+  cluster::NodeId node = cluster::kInvalidNode;
+  int64_t bytes = 0;
+  ASSERT_TRUE(view.Lookup({4}, &node, &bytes));
+  EXPECT_EQ(node, first_new);
 }
 
 // -- Overlap window estimation (EWMA) --------------------------------------

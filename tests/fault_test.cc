@@ -82,43 +82,12 @@ TEST(StatusAnnotateTest, OkAndEmptyContextPassThrough) {
   EXPECT_EQ(util::Annotate(bare, "increment 0").message(), "increment 0");
 }
 
-// -- MovePlan shape validation ---------------------------------------------
+// -- Plan validation at Begin -----------------------------------------------
+//
+// The plan rules themselves are tested on Cluster (cluster_test); Begin
+// checks a plan only through Cluster::BeginApply and annotates a rejection.
 
-TEST(ValidatePlanShapeTest, RejectsMalformedMoves) {
-  MovePlan self;
-  self.Add(ChunkMove{{0}, kMiB, 1, 1});
-  EXPECT_EQ(cluster::ValidatePlanShape(self, 4).code(),
-            util::StatusCode::kInvalidArgument);
-
-  MovePlan bad_from;
-  bad_from.Add(ChunkMove{{0}, kMiB, -1, 1});
-  EXPECT_EQ(cluster::ValidatePlanShape(bad_from, 4).code(),
-            util::StatusCode::kInvalidArgument);
-
-  MovePlan bad_to;
-  bad_to.Add(ChunkMove{{0}, kMiB, 0, 4});
-  EXPECT_EQ(cluster::ValidatePlanShape(bad_to, 4).code(),
-            util::StatusCode::kInvalidArgument);
-
-  MovePlan empty_bytes;
-  empty_bytes.Add(ChunkMove{{0}, 0, 0, 1});
-  EXPECT_EQ(cluster::ValidatePlanShape(empty_bytes, 4).code(),
-            util::StatusCode::kInvalidArgument);
-
-  MovePlan dup;
-  dup.Add(ChunkMove{{0}, kMiB, 0, 1});
-  dup.Add(ChunkMove{{0}, kMiB, 0, 2});
-  const auto status = cluster::ValidatePlanShape(dup, 4);
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("duplicate"), std::string::npos);
-
-  MovePlan good;
-  good.Add(ChunkMove{{0}, kMiB, 0, 1});
-  good.Add(ChunkMove{{1}, kMiB, 0, 2});
-  EXPECT_TRUE(cluster::ValidatePlanShape(good, 4).ok());
-}
-
-TEST(ValidatePlanShapeTest, EngineBeginRejectsMalformedPlans) {
+TEST(ReorgBeginTest, RejectsMalformedPlansWithContext) {
   Fixture f;
   CostModel model;
   IncrementalReorgEngine engine(&f.cluster, &model, TwoChunkIncrements());
@@ -129,6 +98,15 @@ TEST(ValidatePlanShapeTest, EngineBeginRejectsMalformedPlans) {
   EXPECT_NE(status.message().find("reorg plan rejected at Begin"),
             std::string::npos);
   // Nothing was staged: a well-formed Begin still works.
+  EXPECT_FALSE(engine.active());
+
+  // Placement faults are annotated the same way.
+  MovePlan wrong_owner;
+  wrong_owner.Add(ChunkMove{{4}, 64 * kMiB, 1, 2});
+  const auto placement = engine.Begin(wrong_owner, f.first_new);
+  EXPECT_EQ(placement.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(placement.message().find("reorg plan rejected at Begin"),
+            std::string::npos);
   EXPECT_FALSE(engine.active());
   EXPECT_TRUE(engine.Begin(f.plan, f.first_new).ok());
 }

@@ -34,3 +34,13 @@ double LookupOnly(const ChunkMap& chunks, int64_t key) {
 bool Membership(const std::unordered_set<int64_t>& keys, int64_t key) {
   return keys.contains(key);  // Membership probes never see hash order.
 }
+
+struct Move {
+  int64_t key;
+  int64_t from;
+};
+
+void MarkSources(const std::vector<Move>& moves, ChunkMap& chunks) {
+  // Braceless one-liner: the range is the vector; the map is only looked up.
+  for (const auto& m : moves) chunks.at(m.key) = static_cast<double>(m.from);
+}

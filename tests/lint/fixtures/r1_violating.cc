@@ -31,3 +31,9 @@ std::map<int64_t, double> ViaAlias(const ChunkMap& chunks) {
   }
   return sorted;
 }
+
+std::vector<double> EmitValues(const ChunkMap& chunks) {
+  std::vector<double> out;
+  for (const auto& [key, value] : chunks) out.push_back(value);  // R1.
+  return out;
+}

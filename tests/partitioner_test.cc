@@ -119,8 +119,29 @@ TEST(RoundRobinTest, ModuloAddressing) {
   RoundRobinPartitioner rr(schema, 4);
   for (int64_t x = 0; x < 4; ++x) {
     for (int64_t y = 0; y < 4; ++y) {
-      const int64_t lin = schema.LinearizeChunkIndex({x, y});
-      EXPECT_EQ(rr.Locate({x, y}), static_cast<NodeId>(lin % 4));
+      // Row-major index on the 16 x 16 grid, modulo 4 nodes.
+      EXPECT_EQ(rr.Locate({x, y}), static_cast<NodeId>((x * 16 + y) % 4));
+    }
+  }
+}
+
+// A 2^40 x 2^40 grid has 2^80 chunk slots, past int64: Locate must still
+// return the row-major index modulo N, here checked against __int128.
+TEST(RoundRobinTest, HugeGridDoesNotOverflow) {
+  const int64_t side = int64_t{1} << 40;
+  const ArraySchema schema("huge",
+                           {DimensionDesc{"x", 0, side - 1, 1, false},
+                            DimensionDesc{"y", 0, side - 1, 1, false}},
+                           {AttributeDesc{"v", AttrType::kDouble}});
+  ASSERT_TRUE(schema.Validate().ok());
+  for (const int nodes : {3, 5, 7}) {
+    RoundRobinPartitioner rr(schema, nodes);
+    for (const Coordinates& c :
+         {Coordinates{side - 1, side - 1}, Coordinates{side - 1, 0},
+          Coordinates{12345, side - 2}}) {
+      const __int128 index = static_cast<__int128>(c[0]) * side + c[1];
+      EXPECT_EQ(rr.Locate(c), static_cast<NodeId>(index % nodes))
+          << nodes << " nodes";
     }
   }
 }

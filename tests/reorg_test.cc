@@ -142,20 +142,28 @@ TEST(ClusterIncrementalTest, FinishRequiresFullCommit) {
   }
 }
 
+// Node the view routes a read of `coords` to, or kInvalidNode.
+NodeId RoutedNode(const DualResidencyView& view,
+                  const array::Coordinates& coords) {
+  NodeId node = cluster::kInvalidNode;
+  int64_t bytes = 0;
+  return view.Lookup(coords, &node, &bytes) ? node : cluster::kInvalidNode;
+}
+
 TEST(DualResidencyViewTest, RoutesReadsToSourceUntilRelease) {
   Fixture f;
   DualResidencyView view(f.cluster);
   // Quiesced: exact pass-through.
-  EXPECT_EQ(view.OwnerOf({4}), 0);
-  EXPECT_FALSE(view.IsDualResident({4}));
+  EXPECT_EQ(RoutedNode(view, {4}), 0);
+  EXPECT_EQ(f.cluster.SourceReplicaOf({4}), cluster::kInvalidNode);
 
   ASSERT_TRUE(f.cluster.BeginApply(f.plan).ok());
   ASSERT_TRUE(f.cluster.AdvanceIncrement(256 * kMiB).ok());
   ASSERT_TRUE(f.cluster.CommitIncrement().ok());
   // Authoritative owner flipped, but reads stay pinned to the source.
   EXPECT_EQ(f.cluster.OwnerOf({4}), 2);
-  EXPECT_EQ(view.OwnerOf({4}), 0);
-  EXPECT_TRUE(view.IsDualResident({4}));
+  EXPECT_EQ(RoutedNode(view, {4}), 0);
+  EXPECT_EQ(f.cluster.SourceReplicaOf({4}), 0);
   NodeId node = cluster::kInvalidNode;
   int64_t bytes = 0;
   ASSERT_TRUE(view.Lookup({4}, &node, &bytes));
@@ -172,8 +180,8 @@ TEST(DualResidencyViewTest, RoutesReadsToSourceUntilRelease) {
     ASSERT_TRUE(f.cluster.CommitIncrement().ok());
   }
   ASSERT_TRUE(f.cluster.FinishApply().ok());
-  EXPECT_EQ(view.OwnerOf({4}), 2);  // Released: routed to the new owner.
-  EXPECT_FALSE(view.IsDualResident({4}));
+  EXPECT_EQ(RoutedNode(view, {4}), 2);  // Released: routed to the new owner.
+  EXPECT_EQ(f.cluster.SourceReplicaOf({4}), cluster::kInvalidNode);
 }
 
 TEST(DualResidencyViewTest, ForEachChunkEnumeratesInSortedOrder) {
@@ -195,7 +203,7 @@ TEST(DualResidencyViewTest, ForEachChunkEnumeratesInSortedOrder) {
   ASSERT_TRUE(cluster.CommitIncrement().ok());
 
   DualResidencyView view(cluster);
-  ASSERT_TRUE(view.IsDualResident({4, 1}));
+  ASSERT_EQ(cluster.SourceReplicaOf({4, 1}), 0);
   std::vector<array::Coordinates> order;
   view.ForEachChunk([&](const array::Coordinates& coords, NodeId node,
                         int64_t) {

@@ -26,7 +26,7 @@ TEST(SchemaTest, Figure1RoundTrip) {
   EXPECT_EQ(schema.ToString(), "A<i:int32,j:float>[x=1:4,2, y=1:4,2]");
   EXPECT_EQ(schema.num_dims(), 2);
   EXPECT_EQ(schema.num_attrs(), 2);
-  EXPECT_EQ(schema.TotalChunkSlots(), 4);  // Four 2x2 chunks.
+  EXPECT_EQ(schema.ChunkGridExtents(), (Coordinates{2, 2}));  // Four 2x2.
   EXPECT_EQ(schema.CellsPerChunkCap(), 4);
   EXPECT_EQ(schema.BytesPerCell(), 8);  // int32 + float.
 }
@@ -37,21 +37,6 @@ TEST(SchemaTest, ChunkOfMapsCellsToChunks) {
   EXPECT_EQ(schema.ChunkOf({2, 2}), (Coordinates{0, 0}));
   EXPECT_EQ(schema.ChunkOf({3, 1}), (Coordinates{1, 0}));
   EXPECT_EQ(schema.ChunkOf({4, 4}), (Coordinates{1, 1}));
-}
-
-TEST(SchemaTest, LinearizeIsBijective) {
-  const ArraySchema schema(
-      "B", {DimensionDesc{"x", 0, 29, 3, false},
-            DimensionDesc{"y", 0, 19, 4, false},
-            DimensionDesc{"z", 0, 9, 2, false}},
-      {AttributeDesc{"v", AttrType::kDouble}});
-  const int64_t slots = schema.TotalChunkSlots();
-  EXPECT_EQ(slots, 10 * 5 * 5);
-  for (int64_t i = 0; i < slots; ++i) {
-    const Coordinates c = schema.DelinearizeChunkIndex(i);
-    EXPECT_EQ(schema.LinearizeChunkIndex(c), i);
-    EXPECT_TRUE(schema.ChunkInBounds(c));
-  }
 }
 
 TEST(SchemaTest, ChunkCountRoundsUp) {
