@@ -3,7 +3,9 @@
 
 For every baseline file under --baseline-dir, the same-named fresh file under
 --fresh-dir is checked and the build fails on a >tolerance (default 20%)
-regression.
+regression. Positional baseline names (e.g. ``BENCH_operators.json``) check
+only those files, so one micro bench's fresh JSON can be checked on its own;
+a named file with no baseline or no fresh artifact fails.
 
 Two kinds of values are compared, with different tolerances:
 
@@ -203,6 +205,10 @@ def main() -> int:
     parser.add_argument("--baseline-dir", type=Path, required=True)
     parser.add_argument("--fresh-dir", type=Path, required=True)
     parser.add_argument(
+        "names", nargs="*", metavar="BENCH_name.json",
+        help="check only these baselines (default: every BENCH_*.json "
+             "under --baseline-dir)")
+    parser.add_argument(
         "--metrics-tolerance", type=float, default=0.20,
         help="allowed regression of deterministic summary metrics "
              "(default 0.20 = 20%%)")
@@ -217,14 +223,27 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.refresh:
+        if args.names:
+            parser.error("--refresh takes no baseline names; put only the "
+                         "files to refresh in --fresh-dir")
         return refresh(args.baseline_dir, args.fresh_dir)
 
-    baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
-    if not baselines:
-        print(f"error: no BENCH_*.json baselines in {args.baseline_dir}")
-        return 1
-
     failures = []
+    if args.names:
+        baselines = []
+        for name in args.names:
+            baseline_path = args.baseline_dir / name
+            if baseline_path.exists():
+                baselines.append(baseline_path)
+            else:
+                failures.append(
+                    f"{name}: no baseline in {args.baseline_dir}")
+    else:
+        baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
+        if not baselines:
+            print(f"error: no BENCH_*.json baselines in {args.baseline_dir}")
+            return 1
+
     checked = 0
     for baseline_path in baselines:
         fresh_path = args.fresh_dir / baseline_path.name

@@ -445,6 +445,16 @@ inline int64_t SaturatingAdd(int64_t v, int64_t r) {
              : out;
 }
 
+// pos - origin as a double. The difference is taken in uint64 and converted
+// with its sign, so cells up to 2^64 - 1 apart do not overflow; wherever the
+// int64 difference is defined this is its conversion, bit for bit.
+inline double SignedDiff(int64_t pos, int64_t origin) {
+  const uint64_t up =
+      static_cast<uint64_t>(pos) - static_cast<uint64_t>(origin);
+  return pos >= origin ? static_cast<double>(up)
+                       : -static_cast<double>(uint64_t{0} - up);
+}
+
 // Lexicographic three-way comparison of two packed positions of `n` dims.
 inline int ComparePos(const int64_t* a, const int64_t* b, size_t n) {
   for (size_t d = 0; d < n; ++d) {
@@ -944,62 +954,81 @@ util::StatusOr<double> KnnAverageDistance(const array::Array& array, int k,
                                           const ExecContext& context) {
   if (k < 1) return util::InvalidArgument("k must be positive");
   if (samples < 1) return util::InvalidArgument("samples must be positive");
-  // Sample and scan through the span view: positions are read straight from
-  // the chunks' packed coordinate columns, no Cell materialization.
   const array::CellSpanView view(array);
   const int64_t num_cells = view.num_cells();
   if (num_cells <= static_cast<int64_t>(k)) {
     return util::FailedPrecondition("not enough cells for kNN");
   }
   const size_t ndims = static_cast<size_t>(array.schema().num_dims());
+  const auto kk = static_cast<size_t>(k);
+  // The probes are one RNG stream, drawn up front in sample order.
   util::Rng rng(seed);
-  double total = 0.0;
-  array::Coordinates origin(ndims);
-  // The sample draw stays a single RNG stream; each sample's brute-force
-  // distance scan runs morsel-parallel, every cell writing its fixed slot
-  // (cells after the probe shift down one), so the selection input is the
-  // same vector, in the same order, as the sequential scan produced.
-  std::vector<double> dists(static_cast<size_t>(num_cells) - 1);
-  const MorselScheduler scheduler(context);
-  const auto morsels =
-      MorselScheduler::Carve(num_cells, context.morsel_grain);
+  std::vector<array::CellSpanView::Location> probes;
   for (int s = 0; s < samples; ++s) {
-    const auto idx = static_cast<int64_t>(
-        rng.NextBounded(static_cast<uint64_t>(num_cells)));
-    const auto loc = view.Locate(idx);
-    const int64_t* origin_pos = loc.chunk->cell_pos(loc.index);
-    origin.assign(origin_pos, origin_pos + ndims);
-    scheduler.Run(morsels, [&](size_t, int64_t begin, int64_t end) {
-      int64_t global = begin;
-      view.ForEachSlice(
-          begin, end,
-          [&](const array::Chunk& chunk, size_t local_begin,
-              size_t local_end) {
-            for (size_t i = local_begin; i < local_end; ++i, ++global) {
-              if (global == idx) continue;
-              const int64_t* pos = chunk.cell_pos(i);
-              double dist = 0.0;
-              for (size_t d = 0; d < ndims; ++d) {
-                const double diff = static_cast<double>(pos[d] - origin[d]);
-                // arraydb-lint: fixed-order -- sequential over dimensions.
-                dist += diff * diff;
-              }
-              dists[static_cast<size_t>(global < idx ? global : global - 1)] =
-                  std::sqrt(dist);
-            }
-          });
-    });
-    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-    double sum = 0.0;
-    // arraydb-lint: fixed-order -- dists is built deterministically and
-    // nth_element permutes deterministically for a fixed input, so the
-    // first-k addition order is pinned for a given binary.
-    for (int i = 0; i < k; ++i) sum += dists[static_cast<size_t>(i)];
-    // nth_element leaves the first k elements as the k smallest (unordered);
-    // their mean is the probe's kNN distance.
-    // arraydb-lint: fixed-order -- sequential over sample probes.
-    total += sum / static_cast<double>(k);
+    probes.push_back(view.Locate(static_cast<int64_t>(
+        rng.NextBounded(static_cast<uint64_t>(num_cells)))));
   }
+  // Each sample grows a Chebyshev box [o - R, o + R] around its probe o and
+  // scans every cell of the chunks the box meets, keeping the k smallest
+  // distances in a max-heap. A cell outside the box is more than R away, so
+  // once the k-th best is <= R the k smallest are final; otherwise R
+  // doubles. Once the box meets every chunk, or past R = 2^26 (below it
+  // every squared distance the stop rule compares is exact in a double),
+  // the scan is the whole array: an exact brute force.
+  constexpr int64_t kMaxRadius = int64_t{1} << 26;
+  std::vector<double> means(probes.size());
+  const MorselScheduler scheduler(context);
+  scheduler.Run(MorselScheduler::Carve(samples, 1), [&](size_t, int64_t s,
+                                                        int64_t) {
+    const array::CellSpanView::Location& probe =
+        probes[static_cast<size_t>(s)];
+    const int64_t* origin = probe.chunk->cell_pos(probe.index);
+    std::vector<double> best;
+    best.reserve(kk);
+    CellBox box{array::Coordinates(ndims), array::Coordinates(ndims)};
+    std::vector<const array::Chunk*> survivors;
+    for (int64_t radius = 1;; radius *= 2) {
+      const bool whole = radius > kMaxRadius;
+      for (size_t d = 0; d < ndims && !whole; ++d) {
+        box.lo[d] = SaturatingSub(origin[d], radius);
+        box.hi[d] = SaturatingAdd(origin[d], radius);
+      }
+      if (!whole) survivors = BBoxSurvivors(array, box);
+      best.clear();
+      for (const array::Chunk* chunk : whole ? view.chunks() : survivors) {
+        const int64_t* pos = chunk->packed_coords().data();
+        for (size_t i = 0; i < chunk->num_cells(); ++i, pos += ndims) {
+          if (chunk == probe.chunk && i == probe.index) continue;
+          double dist = 0.0;
+          for (size_t d = 0; d < ndims; ++d) {
+            const double diff = SignedDiff(pos[d], origin[d]);
+            // arraydb-lint: fixed-order -- sequential over dimensions.
+            dist += diff * diff;
+          }
+          dist = std::sqrt(dist);
+          if (best.size() == kk) {
+            if (dist >= best.front()) continue;
+            std::pop_heap(best.begin(), best.end());
+            best.pop_back();
+          }
+          best.push_back(dist);
+          std::push_heap(best.begin(), best.end());
+        }
+      }
+      if (whole || survivors.size() == view.chunks().size() ||
+          (best.size() == kk && best.front() <= static_cast<double>(radius))) {
+        break;
+      }
+    }
+    std::sort_heap(best.begin(), best.end());
+    double sum = 0.0;
+    // arraydb-lint: fixed-order -- the k smallest distances, ascending.
+    for (const double dist : best) sum += dist;
+    means[static_cast<size_t>(s)] = sum / static_cast<double>(k);
+  });
+  double total = 0.0;
+  // arraydb-lint: fixed-order -- per-sample means in sample order.
+  for (const double mean : means) total += mean;
   return total / static_cast<double>(samples);
 }
 

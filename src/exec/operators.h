@@ -159,10 +159,14 @@ util::StatusOr<KMeansResult> KMeans(
     uint64_t seed);
 
 /// Modeling benchmark (AIS): average Euclidean distance (in cell space) to
-/// the k nearest other cells, over `samples` cells drawn uniformly. The
-/// sample draw stays sequential (one RNG stream); each sample's distance
-/// scan fills a preallocated slot per cell morsel-parallel, so the
-/// selection input — and the result — is identical at every thread count.
+/// the k nearest other cells, over `samples` cells drawn uniformly from one
+/// RNG stream. Each sample is an exact growing-box search over the chunk
+/// directory: it scans the chunks that a Chebyshev box around the probe
+/// meets, doubling the box until the k-th best distance lies inside it, so
+/// it reads the chunks near the probe instead of every cell. Each sample
+/// sums its k distances in ascending order. The samples run in parallel,
+/// one per morsel, and their means add in sample order, so the result is
+/// bit-identical at every thread count and grain.
 util::StatusOr<double> KnnAverageDistance(const array::Array& array, int k,
                                           int samples, uint64_t seed,
                                           const ExecContext& context = {});

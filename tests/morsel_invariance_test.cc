@@ -198,15 +198,23 @@ TEST_F(MorselInvarianceTest, WindowAverageAllInvariant) {
 }
 
 TEST_F(MorselInvarianceTest, KnnAverageDistanceInvariant) {
-  const auto want = KnnAverageDistance(ais_, /*k=*/5, /*samples=*/8,
-                                       /*seed=*/11, Opts(1, 192));
-  ASSERT_TRUE(want.ok());
-  for (const int threads : ThreadCounts()) {
-    for (const int64_t grain : {int64_t{192}, int64_t{16384}}) {
-      const auto got = KnnAverageDistance(ais_, 5, 8, 11,
-                                          Opts(threads, grain));
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, *want) << "threads=" << threads << " grain=" << grain;
+  // One sample per morsel: more samples than threads, so workers share them.
+  const int samples =
+      2 * static_cast<int>(std::thread::hardware_concurrency()) + 3;
+  for (const auto& [arr, name] :
+       {std::pair<const Array*, const char*>{&ais_, "ais"},
+        std::pair<const Array*, const char*>{&modis_, "modis"}}) {
+    const auto want = KnnAverageDistance(*arr, /*k=*/5, samples,
+                                         /*seed=*/11, Opts(1, 192));
+    ASSERT_TRUE(want.ok()) << name;
+    for (const int threads : ThreadCounts()) {
+      for (const int64_t grain : {int64_t{192}, int64_t{16384}}) {
+        const auto got = KnnAverageDistance(*arr, 5, samples, 11,
+                                            Opts(threads, grain));
+        ASSERT_TRUE(got.ok()) << name;
+        EXPECT_EQ(*got, *want)
+            << name << " threads=" << threads << " grain=" << grain;
+      }
     }
   }
 }

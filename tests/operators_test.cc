@@ -562,6 +562,156 @@ TEST(KnnTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(KnnAverageDistance(a, 1, 0, 1).ok());
 }
 
+// Brute-force kNN over AllCells(): every other cell's distance, the k
+// smallest summed in ascending order. Differences go through __int128, so
+// they are exact before the one rounding to double even for cells 2^64 - 1
+// apart.
+double BruteForceKnn(const Array& a, int k, int samples, uint64_t seed) {
+  const std::vector<array::Cell> cells = a.AllCells();
+  util::Rng rng(seed);
+  double total = 0.0;
+  for (int s = 0; s < samples; ++s) {
+    const size_t probe = static_cast<size_t>(rng.NextBounded(cells.size()));
+    std::vector<double> dists;
+    for (size_t j = 0; j < cells.size(); ++j) {
+      if (j == probe) continue;
+      double dist = 0.0;
+      for (size_t d = 0; d < cells[j].pos.size(); ++d) {
+        const auto diff = static_cast<double>(
+            static_cast<__int128>(cells[j].pos[d]) - cells[probe].pos[d]);
+        dist += diff * diff;
+      }
+      dists.push_back(std::sqrt(dist));
+    }
+    std::partial_sort(dists.begin(), dists.begin() + k, dists.end());
+    double sum = 0.0;
+    for (int i = 0; i < k; ++i) sum += dists[static_cast<size_t>(i)];
+    total += sum / static_cast<double>(k);
+  }
+  return total / static_cast<double>(samples);
+}
+
+// The positions of the probes KnnAverageDistance draws: one RNG stream of
+// global indices into AllCells() order.
+std::vector<Coordinates> KnnProbes(const Array& a, int samples,
+                                   uint64_t seed) {
+  const std::vector<array::Cell> cells = a.AllCells();
+  util::Rng rng(seed);
+  std::vector<Coordinates> out;
+  for (int s = 0; s < samples; ++s) {
+    out.push_back(cells[static_cast<size_t>(rng.NextBounded(cells.size()))]
+                      .pos);
+  }
+  return out;
+}
+
+TEST(KnnTest, MatchesBruteForceReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    std::string name;
+    Array array;
+    int k;
+  };
+  std::vector<Case> cases;
+  for (const uint64_t seed : {uint64_t{5}, uint64_t{6}, uint64_t{7}}) {
+    const std::string tag = " seed " + std::to_string(seed);
+    cases.push_back({"rank 1" + tag,
+                     MakeRandomArray({DimensionDesc{"x", -50, 400, 7, false}},
+                                     120, 0, seed),
+                     3});
+    // A dense 3-D band: most probes stop at the first box.
+    cases.push_back({"rank 3" + tag,
+                     MakeRandomArray({DimensionDesc{"t", 0, 3, 1, false},
+                                      DimensionDesc{"x", 0, 23, 4, false},
+                                      DimensionDesc{"y", 0, 15, 4, false}},
+                                     900, 0, seed),
+                     4});
+    // A sparse grid whose empty synthetic chunks the search must skip.
+    cases.push_back({"sparse rank 2" + tag,
+                     MakeRandomArray({DimensionDesc{"x", 0, 255, 8, false},
+                                      DimensionDesc{"y", 0, 255, 8, false}},
+                                     60, 300, seed),
+                     5});
+    cases.push_back({"rank 4" + tag,
+                     MakeRandomArray({DimensionDesc{"t", 0, 0, 3, true},
+                                      DimensionDesc{"x", -8, 30, 4, false},
+                                      DimensionDesc{"y", 0, 19, 5, false},
+                                      DimensionDesc{"z", 10, 25, 2, false}},
+                                     400, 40, seed),
+                     1});
+  }
+  {
+    // Every cell twice: the probe's duplicate is a neighbour at distance 0.
+    const Array once = MakeRandomArray({DimensionDesc{"x", 0, 63, 4, false},
+                                        DimensionDesc{"y", 0, 63, 4, false}},
+                                       80, 0, 9);
+    Array twice(once.schema());
+    for (int copy = 0; copy < 2; ++copy) {
+      for (const array::Cell& cell : once.AllCells()) {
+        ASSERT_TRUE(twice.InsertCell(cell.pos, cell.values).ok());
+      }
+    }
+    cases.push_back({"duplicates k=1", twice, 1});
+    cases.push_back({"duplicates k=3", twice, 3});
+    // k = num_cells - 1: only the whole-data box holds enough cells.
+    cases.push_back(
+        {"k = cells - 1", once, static_cast<int>(once.total_cells()) - 1});
+  }
+  {
+    // The grid's lo and hi corners, among a few interior cells.
+    Array corners(ArraySchema("c",
+                              {DimensionDesc{"x", 0, 15, 4, false},
+                               DimensionDesc{"y", 0, 15, 4, false}},
+                              {AttributeDesc{"v", AttrType::kDouble}}));
+    for (const Coordinates& pos : std::vector<Coordinates>{
+             {0, 0}, {15, 15}, {0, 15}, {15, 0}, {3, 4}, {7, 7}, {12, 9}}) {
+      ASSERT_TRUE(corners.InsertCell(pos, {1.0}).ok());
+    }
+    const std::vector<Coordinates> probes = KnnProbes(corners, 48, 21);
+    ASSERT_NE(std::find(probes.begin(), probes.end(), Coordinates{0, 0}),
+              probes.end());
+    ASSERT_NE(std::find(probes.begin(), probes.end(), Coordinates{15, 15}),
+              probes.end());
+    cases.push_back({"corners", corners, 2});
+  }
+  {
+    // An unbounded dimension with cells up to 2^64 - 1 apart: probes far
+    // from every neighbour grow past 2^26 and fall back to the whole data.
+    Array far(ArraySchema("u",
+                          {DimensionDesc{"t", kMin, 0, int64_t{1} << 40, true},
+                           DimensionDesc{"y", 0, 7, 4, false}},
+                          {AttributeDesc{"v", AttrType::kDouble}}));
+    for (const int64_t t : {kMin, kMin + 3, -(int64_t{1} << 50), int64_t{0},
+                            int64_t{2}, int64_t{5}, int64_t{1} << 27,
+                            int64_t{1} << 40, kMax - (int64_t{1} << 30),
+                            kMax}) {
+      for (const int64_t y : {int64_t{0}, int64_t{7}}) {
+        ASSERT_TRUE(far.InsertCell({t, y}, {1.0}).ok());
+      }
+    }
+    cases.push_back({"unbounded k=1", far, 1});
+    cases.push_back({"unbounded k=3", far, 3});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const int samples = 40;
+    const uint64_t seed = 21;
+    const double want = BruteForceKnn(c.array, c.k, samples, seed);
+    for (const int threads : {1, 2, 0}) {
+      for (const int64_t grain : {int64_t{1}, int64_t{192}}) {
+        ExecContext context;
+        context.data_plane_threads = threads;
+        context.morsel_grain = grain;
+        const auto got =
+            KnnAverageDistance(c.array, c.k, samples, seed, context);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, want) << "threads=" << threads << " grain=" << grain;
+      }
+    }
+  }
+}
+
 TEST(RegridTest, CoarsensCountsAndSums) {
   const Array a = MakeGridArray();
   const auto coarse = Regrid(a, {4, 4}, 0);

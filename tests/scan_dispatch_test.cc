@@ -1,8 +1,8 @@
 // Operator-level dispatch equivalence on the AIS and MODIS sample
 // workloads: forcing the scalar fallback and forcing AVX2 must produce
 // bit-identical FilterBoxSpans / quantile / group-by / kNN results. Also the
-// AllCells-free kNN regression test: the span-view implementation must
-// reproduce the legacy materializing implementation exactly.
+// AllCells-free kNN regression test: the chunk-directory search must
+// reproduce a brute force over materialized cells exactly.
 
 #include <gtest/gtest.h>
 
@@ -170,8 +170,8 @@ TEST_F(ScanDispatchTest, KnnIdenticalAcrossDispatch) {
   EXPECT_EQ(scalar_knn, avx2_knn);
 }
 
-// The legacy kNN implementation, over materialized AllCells() — kept here
-// as the reference the span-view implementation must reproduce exactly.
+// An independent brute-force kNN over materialized AllCells(): the k
+// smallest distances summed in ascending order, the operator's contract.
 double ReferenceKnnAverageDistance(const Array& array, int k, int samples,
                                    uint64_t seed) {
   const auto cells = array.AllCells();
@@ -191,7 +191,7 @@ double ReferenceKnnAverageDistance(const Array& array, int k, int samples,
       }
       dists.push_back(std::sqrt(dist));
     }
-    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
+    std::partial_sort(dists.begin(), dists.begin() + k, dists.end());
     double sum = 0.0;
     for (int i = 0; i < k; ++i) sum += dists[static_cast<size_t>(i)];
     total += sum / static_cast<double>(k);
