@@ -1,15 +1,18 @@
 // Figure 6: join duration for unskewed data — the MODIS vegetation-index
 // join over the most recent day of measurements, per workload cycle, for
 // every partitioner — plus the real join execution layer: the morsel-
-// parallel radix-partitioned rank-key joins (exec/join.h) timed against
-// their sequential forms and against the retired unordered_set join.
+// parallel merge and attribute joins (exec/join.h) timed against their
+// sequential forms and against the unordered_set dimension join.
 //
 // Emits BENCH_fig6_join.json:
 //   * fig6_<partitioner>_join_minutes — mean simulated join minutes per
 //     cycle for each partitioner (deterministic model output, gated tight
 //     by ci/check_bench_trend.py as a lower-better _minutes metric);
-//   * dim_join/attr_join seq/par ns-per-probe-cell entries and the legacy
+//   * dim_join/attr_join seq/par ns-per-probe-cell entries and the
 //     dim_join_set entry (wall-clock, machine-normalized by the checker);
+//   * dim_join_radix_vs_set_ratio — the set join's time over the merge
+//     join's sequential time (informational; the key keeps its name so the
+//     committed baseline still applies);
 //   * join_parallel_speedup — the gate target for the committed
 //     floor_join_parallel_speedup (>= 2x): the best join speedup at full
 //     hardware concurrency. Meaningful only where parallelism exists, so
@@ -17,9 +20,10 @@
 //     clamped to the floor (flagged by join_gate_vacuous = 1); the raw
 //     *_parallel_ratio metrics always carry the honest measurements.
 //
-// Before any timing counts, every parallel/partitioned join result is
-// asserted identical to the sequential set-based specification across
-// thread counts and partition-bit settings — the join determinism
+// Before any timing counts, every join result is asserted identical to
+// the sequential set-based specification (dimension join) or to the
+// sequential run (attribute join) at every thread count, with the
+// dimension join's arguments in either order — the join determinism
 // contract at bench scale.
 //
 // Build & run:  ./build/bench_fig6_join
@@ -69,11 +73,9 @@ double MinNsPerItem(int reps, int64_t items, Fn&& fn) {
   return best;
 }
 
-exec::ExecContext JOpts(int threads,
-                        int bits = exec::kDefaultJoinPartitionBits) {
+exec::ExecContext JOpts(int threads) {
   exec::ExecContext opts;
   opts.data_plane_threads = threads;
-  opts.join_partition_bits = bits;
   return opts;
 }
 
@@ -165,14 +167,14 @@ int main() {
 
   const int hw_threads = util::ResolveThreadCount(0);
   const bool gate_active = hw_threads >= kMinThreadsForGate;
-  std::printf("radix-partitioned rank-key joins vs. sequential (%d hardware "
+  std::printf("merge and attribute joins vs. sequential (%d hardware "
               "threads)%s\n\n",
               hw_threads,
               gate_active ? ""
                           : " — fewer than 4 threads, speedup gate vacuous");
 
-  // A small build band vs. a much larger probe band: the morsel-parallel
-  // probe dominates, the shape the radix join is built for.
+  // A small build band vs. a much larger probe band on one chunk grid:
+  // the build band's chunks pair with the probe band's first days.
   const array::Array build_band =
       workload::MakeModisBand(/*days=*/2, /*lon_cells=*/256,
                               /*lat_cells=*/128, /*seed=*/7);
@@ -188,37 +190,28 @@ int main() {
   std::unordered_set<int64_t> attr_keys;
   for (int64_t k = 0; k <= 200; ++k) attr_keys.insert(k);
 
-  // Determinism first: the radix join must reproduce the set-based
-  // specification exactly at every thread count and partition setting.
+  // Determinism first: the merge join must reproduce the set-based
+  // specification exactly at every thread count, in either argument order.
   const int64_t dim_want =
       exec::internal::DimJoinCountBySet(build_band, probe_band);
   for (const int threads : {1, 0}) {
-    for (const int bits : {0, 4, 8}) {
-      if (exec::DimJoinCount(build_band, probe_band, JOpts(threads, bits)) !=
-          dim_want) {
-        std::fprintf(stderr,
-                     "FAIL: DimJoinCount(threads=%d, bits=%d) != set spec\n",
-                     threads, bits);
-        return 1;
-      }
+    if (exec::DimJoinCount(build_band, probe_band, JOpts(threads)) !=
+            dim_want ||
+        exec::DimJoinCount(probe_band, build_band, JOpts(threads)) !=
+            exec::internal::DimJoinCountBySet(probe_band, build_band)) {
+      std::fprintf(stderr, "FAIL: DimJoinCount(threads=%d) != set spec\n",
+                   threads);
+      return 1;
     }
   }
   const int64_t attr_want =
       exec::AttrJoinCount(probe_band, 1, attr_keys, JOpts(1));
-  for (const int threads : {1, 0}) {
-    for (const int bits : {0, 4, 8}) {
-      if (exec::AttrJoinCount(probe_band, 1, attr_keys,
-                              JOpts(threads, bits)) != attr_want) {
-        std::fprintf(stderr,
-                     "FAIL: AttrJoinCount(threads=%d, bits=%d) not "
-                     "invariant\n",
-                     threads, bits);
-        return 1;
-      }
-    }
+  if (exec::AttrJoinCount(probe_band, 1, attr_keys, JOpts(0)) != attr_want) {
+    std::fprintf(stderr, "FAIL: AttrJoinCount(threads=0) not invariant\n");
+    return 1;
   }
   std::printf("determinism: dim join = %lld, attr join = %lld at every "
-              "(threads, partition bits)\n\n",
+              "thread count\n\n",
               static_cast<long long>(dim_want),
               static_cast<long long>(attr_want));
 
@@ -260,21 +253,21 @@ int main() {
                exec::AttrJoinCount(probe_band, 1, attr_keys, JOpts(0)));
          }));
 
-  // The retired set join, timed as the "seed" reference: the radix join's
-  // sequential form should already beat it (no per-cell Coordinates
-  // allocation, no vector hashing); the ratio is informational.
+  // The set join, timed as the "seed" reference: the merge join's
+  // sequential form should beat it (no per-cell Coordinates allocation,
+  // no hashing); the ratio is informational.
   const double set_ns = MinNsPerItem(kReps, probe_cells, [&] {
     return static_cast<double>(
         exec::internal::DimJoinCountBySet(build_band, probe_band));
   });
   writer.Add({"dim_join_set/seq", set_ns, set_ns > 0 ? 1e9 / set_ns : 0.0});
-  const auto* radix_seq = writer.Find("dim_join/seq");
-  const double radix_vs_set =
-      radix_seq && radix_seq->ns_per_op > 0.0 ? set_ns / radix_seq->ns_per_op
+  const auto* merge_seq = writer.Find("dim_join/seq");
+  const double merge_vs_set =
+      merge_seq && merge_seq->ns_per_op > 0.0 ? set_ns / merge_seq->ns_per_op
                                               : 1.0;
-  writer.AddMetric("dim_join_radix_vs_set_ratio", radix_vs_set);
-  std::printf("%-14s %9.3f ns/cell seq  (radix seq is %.2fx faster)\n",
-              "dim_join_set", set_ns, radix_vs_set);
+  writer.AddMetric("dim_join_radix_vs_set_ratio", merge_vs_set);
+  std::printf("%-14s %9.3f ns/cell seq  (merge seq is %.2fx faster)\n",
+              "dim_join_set", set_ns, merge_vs_set);
 
   // The gate metric: best join speedup at full concurrency, clamped to
   // the floor (and flagged vacuous) on machines below the thread floor.

@@ -1,15 +1,13 @@
 // ExecContext: the explicit per-call execution settings of the data-plane
-// operators and joins — worker threads, morsel grain and join partition
-// bits.
+// operators and joins — worker threads and morsel grain.
 //
 // It is the only way settings reach the operators (exec/operators.h), the
 // joins (exec/join.h) and exec::MorselScheduler: every entry point takes a
 // `const ExecContext&`, and the operators' `{}` default runs sequentially
-// with the default grain and partition bits. There is no process-global
-// state, so concurrent sessions with different settings are fully
-// independent. Results never depend on the context (the determinism
-// contract, see src/exec/README.md); a call's settings change only its
-// timing.
+// with the default grain. There is no process-global state, so concurrent
+// sessions with different settings are fully independent. Results never
+// depend on the context (the determinism contract, see src/exec/README.md);
+// a call's settings change only its timing.
 
 #ifndef ARRAYDB_EXEC_EXEC_CONTEXT_H_
 #define ARRAYDB_EXEC_EXEC_CONTEXT_H_
@@ -23,9 +21,8 @@ namespace arraydb::exec {
 /// core's L2 slice while still amortizing dispatch overhead.
 inline constexpr int64_t kDefaultMorselGrainCells = 16384;
 
-/// Default number of high rank bits selecting a join build partition (16
-/// partitions): enough that every hardware thread owns private tables at
-/// testbed scale while each partition's key list stays cache-friendly.
+/// Default of ExecContext::join_partition_bits, which no operator reads.
+/// Kept, with the field, only for perfbench's run fingerprint.
 inline constexpr int kDefaultJoinPartitionBits = 4;
 
 struct ExecContext {
@@ -33,9 +30,9 @@ struct ExecContext {
   /// 0 = auto via util::ResolveThreadCount). Results are bit-identical at
   /// every setting (morsel determinism contract).
   int data_plane_threads = 1;
-  /// Radix partition bits for the rank-keyed hash joins; 0 = a single
-  /// partition. Clamped to the key space's available rank bits. Results
-  /// are bit-identical at every setting.
+  /// Has no effect: no operator or join reads it. It stays only because
+  /// perfbench prints it in its run fingerprint (ROADMAP lists it for
+  /// removal with that row).
   int join_partition_bits = kDefaultJoinPartitionBits;
   /// Target cells per morsel (> 0). Fixes reduction boundaries: value-exact
   /// operators are grain-invariant, floating-point sums may differ in the

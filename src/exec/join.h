@@ -1,22 +1,18 @@
-// Morsel-parallel radix-partitioned hash joins on Hilbert-rank keys.
+// Morsel-parallel joins: the paper's Fig. 6 MODIS vegetation-index join
+// and the AIS vessel join, executed on materialized arrays.
 //
-// The join benchmarks (the paper's Fig. 6 MODIS vegetation-index join and
-// the AIS vessel join) execute here on materialized arrays. Dimension
-// joins key on the packed 64-bit Hilbert rank of each cell position
-// (hilbert::HilbertCodec::RankPacked over the chunks' packed coordinate
-// columns — no per-cell Coordinates allocation, no vector hashing), radix-
-// partition the build side by the high rank bits into flat open-addressing
-// key tables, and probe morsel-parallel through exec::MorselScheduler.
-// Because chunks are Hilbert-ordered by the placement layer, co-located
-// chunks share rank prefixes: radix partitions are placement-aligned for
-// free.
+// A dimension join of two arrays on one chunk grid is a merge join. A
+// position can only match inside the chunk with the same coordinates on
+// both sides, so one linear merge of the two sorted chunk directories
+// pairs the chunks; morsels of pairs, weighted by probe cells, sort each
+// pair's positions and merge-count them. Arrays on different grids take
+// the set-keyed reference join.
 //
 // Determinism contract (same as the scan/aggregate operators, see
-// src/exec/README.md "Join partitioning contract"): the partition
-// decomposition is a pure function of the data, the grain, and the
-// partition-bit count; per-morsel partials merge in fixed (partition,
-// morsel) order; match counts are integers, so results are bit-identical
-// across thread counts, morsel grains, AND partition-bit settings.
+// src/exec/README.md "Merge-join contract"): the pairs and their morsels
+// are a pure function of the data and the grain; per-morsel integer
+// counts sum in fixed morsel order, so results are bit-identical across
+// thread counts and morsel grains.
 
 #ifndef ARRAYDB_EXEC_JOIN_H_
 #define ARRAYDB_EXEC_JOIN_H_
@@ -32,8 +28,8 @@ namespace arraydb::exec {
 
 /// Flat open-addressing set of uint64 keys: power-of-two slot array, linear
 /// probing, splitmix64-mixed hashing. Empty slots hold 0; a present zero
-/// key is tracked out of band. No node allocation, no per-key indirection —
-/// the build side of the radix join and the attribute key set.
+/// key is tracked out of band. No node allocation, no per-key indirection:
+/// the attribute join's key set.
 class FlatKeySet {
  public:
   /// Sizes the slot array for `n` distinct keys at <= 50% load.
@@ -59,14 +55,14 @@ class FlatKeySet {
 ///
 /// Multiplicity semantics (pinned by the invariance suite): the side with
 /// fewer total cells builds (ties: `a` builds), the other side probes.
-/// Duplicate build-side positions collapse into the key set and count
-/// once; every probe-side cell whose position is present counts, so
-/// duplicate probe-side positions each contribute a match. Arrays of
-/// different rank never share a position: the join is empty.
+/// Duplicate build-side positions collapse and count once; every
+/// probe-side cell whose position is present counts, so duplicate
+/// probe-side positions each contribute a match. Arrays of different rank
+/// never share a position: the join is empty.
 ///
-/// Executes the radix-partitioned rank-key join when a common Hilbert key
-/// space exists (rank <= the codec's 6-dim state tables and the joint
-/// coordinate extents fit the 64-bit rank budget); otherwise falls back to
+/// When both schemas put chunk boundaries in the same places (the same
+/// `lo` and `chunk_interval` in every dimension), runs the merge join over
+/// the two chunk directories; otherwise falls back to
 /// internal::DimJoinCountBySet with identical semantics.
 int64_t DimJoinCount(const array::Array& a, const array::Array& b,
                      const ExecContext& context = {});
@@ -86,10 +82,10 @@ bool AttrJoinKey(double value, int64_t* key);
 
 namespace internal {
 
-/// The retired unordered_set<Coordinates> dimension join, kept as the
-/// executable multiplicity-semantics specification, as the fallback for
-/// key spaces the rank codec cannot serve, and as the "seed" side of the
-/// radix-vs-set comparison in bench_fig6_join.
+/// The unordered_set<Coordinates> dimension join: the executable
+/// multiplicity-semantics specification, DimJoinCount's fallback for
+/// arrays on different chunk grids, and the "seed" side of the
+/// merge-vs-set comparison in bench_fig6_join.
 int64_t DimJoinCountBySet(const array::Array& a, const array::Array& b);
 
 }  // namespace internal

@@ -10,6 +10,14 @@
 
 namespace arraydb::exec {
 
+std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array) {
+  std::vector<const array::Chunk*> chunks;
+  for (const array::Chunk* chunk : array.SortedChunks()) {
+    if (chunk->num_cells() != 0) chunks.push_back(chunk);
+  }
+  return chunks;
+}
+
 MorselScheduler::MorselScheduler(const ExecContext& context)
     : threads_(util::ResolveThreadCount(context.data_plane_threads)) {
   ARRAYDB_CHECK_GT(context.morsel_grain, 0);
@@ -43,6 +51,16 @@ std::vector<MorselRange> MorselScheduler::CarveByWeight(
   }
   if (begin < n) morsels.emplace_back(begin, n);
   return morsels;
+}
+
+std::vector<MorselRange> MorselScheduler::CarveChunks(
+    const std::vector<const array::Chunk*>& chunks, int64_t grain) {
+  std::vector<int64_t> weights;
+  weights.reserve(chunks.size());
+  for (const array::Chunk* chunk : chunks) {
+    weights.push_back(static_cast<int64_t>(chunk->num_cells()));
+  }
+  return CarveByWeight(weights, grain);
 }
 
 void MorselScheduler::Run(

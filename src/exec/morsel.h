@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "array/array.h"
 #include "exec/exec_context.h"
 #include "telemetry/telemetry.h"
 #include "util/thread_pool.h"
@@ -39,6 +40,11 @@ namespace arraydb::exec {
 
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
+
+/// The chunks of `array` that hold cells, in directory (lexicographic)
+/// order: the work domain of the whole-array operators. Synthetic
+/// metadata-only chunks carry no cells and are skipped.
+std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array);
 
 class MorselScheduler {
  public:
@@ -62,6 +68,11 @@ class MorselScheduler {
   /// (weights, grain).
   static std::vector<MorselRange> CarveByWeight(
       const std::vector<int64_t>& weights, int64_t grain);
+
+  /// CarveByWeight over a chunk list weighted by cells per chunk: every
+  /// morsel scans ~grain cells of contiguous columnar storage.
+  static std::vector<MorselRange> CarveChunks(
+      const std::vector<const array::Chunk*>& chunks, int64_t grain);
 
   /// Runs fn(morsel_index, begin, end) for every morsel; workers pick
   /// morsels in ascending index order; blocks until all complete. fn must

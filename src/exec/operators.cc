@@ -150,18 +150,6 @@ std::vector<const array::Chunk*> BBoxSurvivors(const array::Array& array,
   return out;
 }
 
-// Cache-sized runs of whole chunks: the per-chunk cell counts weight the
-// carve so every morsel scans ~grain cells of contiguous columnar storage.
-std::vector<MorselRange> CarveChunks(
-    const std::vector<const array::Chunk*>& chunks, int64_t grain) {
-  std::vector<int64_t> weights;
-  weights.reserve(chunks.size());
-  for (const array::Chunk* chunk : chunks) {
-    weights.push_back(static_cast<int64_t>(chunk->num_cells()));
-  }
-  return MorselScheduler::CarveByWeight(weights, grain);
-}
-
 }  // namespace
 
 FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
@@ -180,7 +168,7 @@ FilterBoxView FilterBoxSpans(const array::Array& array, const CellBox& box,
   };
   const MorselScheduler scheduler(context);
   Partial merged = scheduler.Reduce(
-      CarveChunks(chunks, context.morsel_grain), Partial{},
+      MorselScheduler::CarveChunks(chunks, context.morsel_grain), Partial{},
       [&](size_t, int64_t begin, int64_t end) {
         Partial partial;
         std::vector<uint8_t> mask;
@@ -219,7 +207,7 @@ int64_t FilterBoxCount(const array::Array& array, const CellBox& box,
   if (chunks.empty()) return 0;
   const MorselScheduler scheduler(context);
   return scheduler.Reduce(
-      CarveChunks(chunks, context.morsel_grain), int64_t{0},
+      MorselScheduler::CarveChunks(chunks, context.morsel_grain), int64_t{0},
       [&](size_t, int64_t begin, int64_t end) {
         int64_t count = 0;
         std::vector<uint8_t> mask;
@@ -272,7 +260,8 @@ util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
       bool any = false;
     };
     const Extreme merged = scheduler.Reduce(
-        CarveChunks(view.chunks(), context.morsel_grain), Extreme{},
+        MorselScheduler::CarveChunks(view.chunks(), context.morsel_grain),
+        Extreme{},
         [&](size_t, int64_t begin, int64_t end) {
           Extreme partial;
           for (int64_t c = begin; c < end; ++c) {
@@ -340,11 +329,16 @@ util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
 
 namespace {
 
-// Bin origin (floor division handles negative coordinates).
+// Bin origin: the multiple of `bin` at or below `v`, saturated to
+// INT64_MIN when that multiple lies below it. The distance down to the
+// origin is taken as a remainder, so nothing overflows.
 inline int64_t BinOrigin(int64_t v, int64_t bin) {
-  int64_t q = v / bin;
-  if (v % bin != 0 && v < 0) --q;
-  return q * bin;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t rem = v % bin;
+  const uint64_t below = static_cast<uint64_t>(rem < 0 ? rem + bin : rem);
+  const uint64_t above_min =
+      static_cast<uint64_t>(v) - static_cast<uint64_t>(kMin);
+  return above_min < below ? kMin : v - static_cast<int64_t>(below);
 }
 
 }  // namespace
@@ -358,10 +352,7 @@ std::map<array::Coordinates, double> GroupBySum(
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   for (const int64_t b : bin) ARRAYDB_CHECK_GT(b, 0);
   const size_t ndims = bin.size();
-  std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() != 0) chunks.push_back(chunk);
-  }
+  const std::vector<const array::Chunk*> chunks = NonEmptyChunks(array);
   using BinMap =
       std::unordered_map<array::Coordinates, double, array::CoordinatesHash>;
   // Each morsel accumulates a private bin map over its run of sorted
@@ -371,7 +362,7 @@ std::map<array::Coordinates, double> GroupBySum(
   // kernels dispatch-stable) identical across scalar and AVX2 dispatch.
   const MorselScheduler scheduler(context);
   BinMap acc = scheduler.Reduce(
-      CarveChunks(chunks, context.morsel_grain), BinMap{},
+      MorselScheduler::CarveChunks(chunks, context.morsel_grain), BinMap{},
       [&](size_t, int64_t begin, int64_t end) {
         BinMap partial;
         array::Coordinates key(ndims);
@@ -602,11 +593,9 @@ SortedField BuildSortedField(const array::Array& array, int attr,
   field.hi.assign(ndims, std::numeric_limits<int64_t>::min());
 
   // Gather: every chunk copies into its fixed slice of flat arrays.
-  std::vector<const array::Chunk*> chunks;
+  const std::vector<const array::Chunk*> chunks = NonEmptyChunks(array);
   std::vector<int64_t> offsets{0};
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() == 0) continue;
-    chunks.push_back(chunk);
+  for (const array::Chunk* chunk : chunks) {
     offsets.push_back(offsets.back() +
                       static_cast<int64_t>(chunk->num_cells()));
     for (size_t d = 0; d < ndims; ++d) {
@@ -623,7 +612,8 @@ SortedField BuildSortedField(const array::Array& array, int attr,
     return coords.get() + static_cast<size_t>(i) * ndims;
   };
   scheduler.Run(
-      CarveChunks(chunks, grain), [&](size_t, int64_t begin, int64_t end) {
+      MorselScheduler::CarveChunks(chunks, grain),
+      [&](size_t, int64_t begin, int64_t end) {
         for (int64_t c = begin; c < end; ++c) {
           const array::Chunk& chunk = *chunks[static_cast<size_t>(c)];
           const int64_t at = offsets[static_cast<size_t>(c)];

@@ -100,12 +100,14 @@ int64_t FilterBoxCount(const array::Array& array, const CellBox& box,
 util::StatusOr<double> AttrQuantile(const array::Array& array, int attr,
                                     double q, const ExecContext& context = {});
 
-// The join benchmarks (DimJoinCount / AttrJoinCount) moved to exec/join.h
-// — morsel-parallel radix-partitioned hash joins on Hilbert-rank keys,
+// The join benchmarks (DimJoinCount / AttrJoinCount) moved to exec/join.h,
 // included above so existing callers keep compiling.
 
 /// Statistics benchmark: sums attribute `attr` grouped by coarse bins of
-/// size `bin[d]` cells along each dimension. Returns bin-origin -> sum.
+/// size `bin[d]` cells along each dimension. Returns bin-origin -> sum,
+/// where a cell's bin origin is the multiple of bin[d] at or below it. An
+/// origin that would lie below INT64_MIN saturates to INT64_MIN, so the
+/// lowest bin of a dimension reaching down there starts at INT64_MIN.
 /// Per-bin accumulation order is fixed by the morsel decomposition (chunks
 /// in lexicographic order, morsel partials combined in order), so sums are
 /// deterministic and thread-count invariant.

@@ -210,23 +210,6 @@ uint64_t HilbertCodec::RankChecked(const array::Coordinates& coords,
   return Rank(point.data());
 }
 
-void HilbertCodec::RankPacked(const int64_t* coords, size_t count,
-                              const int64_t* lo, uint64_t* out) const {
-  // Coordinates feed the uint32 interleave pipeline, so the per-dimension
-  // budget is min(bits, 32) regardless of the declared bit width.
-  const int64_t limit = int64_t{1} << std::min(bits_, 32);
-  std::array<uint32_t, 64> point;
-  for (size_t i = 0; i < count; ++i, coords += n_) {
-    for (int d = 0; d < n_; ++d) {
-      const int64_t shifted = coords[d] - lo[d];
-      ARRAYDB_CHECK_GE(shifted, 0);
-      ARRAYDB_CHECK_LT(shifted, limit);
-      point[static_cast<size_t>(d)] = static_cast<uint32_t>(shifted);
-    }
-    out[i] = Rank(point.data());
-  }
-}
-
 uint64_t HilbertIndex(const std::vector<uint32_t>& point, int bits) {
   const int n = static_cast<int>(point.size());
   ARRAYDB_CHECK_GE(n, 1);

@@ -90,15 +90,6 @@ class HilbertCodec {
   uint64_t RankChecked(const array::Coordinates& coords,
                        const array::Coordinates& extents) const;
 
-  /// Batched rank over a packed coordinate column: `count` points of
-  /// num_dims() consecutive int64 values each (a Chunk's packed_coords
-  /// layout). Coordinate d of every point is shifted by -lo[d] before
-  /// encoding and must land in [0, 2^bits). Writes out[i] = Rank(point i).
-  /// Allocation-free per point — one codec setup amortized over the whole
-  /// column (the radix-join key derivation hot path).
-  void RankPacked(const int64_t* coords, size_t count, const int64_t* lo,
-                  uint64_t* out) const;
-
  private:
   int n_;
   int bits_;

@@ -63,23 +63,20 @@ TEST_F(ExecContextOperatorTest, ContextOverloadsMatchTheDefaultPath) {
   ASSERT_GT(want_count, 0);
   ASSERT_GT(want_dim, 0);
   for (const int threads : {1, 2, 0}) {
-    for (const int bits : {0, 4}) {
-      ExecContext context;
-      context.data_plane_threads = threads;
-      context.join_partition_bits = bits;
-      context.morsel_grain = 192;  // Force genuinely multi-morsel runs.
-      EXPECT_EQ(FilterBoxCount(modis_, box, context), want_count)
-          << "threads=" << threads;
-      EXPECT_EQ(DimJoinCount(modis_, other_, context), want_dim)
-          << "threads=" << threads << " bits=" << bits;
-      EXPECT_EQ(AttrJoinCount(modis_, 0, Keys(), context), want_attr)
-          << "threads=" << threads << " bits=" << bits;
-    }
+    ExecContext context;
+    context.data_plane_threads = threads;
+    context.morsel_grain = 192;  // Force genuinely multi-morsel runs.
+    EXPECT_EQ(FilterBoxCount(modis_, box, context), want_count)
+        << "threads=" << threads;
+    EXPECT_EQ(DimJoinCount(modis_, other_, context), want_dim)
+        << "threads=" << threads;
+    EXPECT_EQ(AttrJoinCount(modis_, 0, Keys(), context), want_attr)
+        << "threads=" << threads;
   }
 }
 
 // The deleted join.h caveat, disproved under TSan: concurrent joins, each
-// with its own context (different thread counts and partition bits),
+// with its own context (different thread counts and grains),
 // produce exactly the sequential results. No process-global state is
 // involved — that was the point of ExecContext.
 TEST_F(ExecContextOperatorTest, ConcurrentJoinsUnderDistinctContexts) {
@@ -95,7 +92,6 @@ TEST_F(ExecContextOperatorTest, ConcurrentJoinsUnderDistinctContexts) {
     workers.emplace_back([&, w] {
       ExecContext context;
       context.data_plane_threads = 1 + w % 3;
-      context.join_partition_bits = (w % 2 == 0) ? 0 : 4;
       context.morsel_grain = 192 + 64 * w;
       for (int r = 0; r < kRepeats; ++r) {
         dim_results[static_cast<size_t>(w * kRepeats + r)] =

@@ -167,39 +167,6 @@ TEST(HilbertFastTest, BatchOfEmptyInputIsEmpty) {
   EXPECT_TRUE(HilbertRankBatch({}, {4, 4}).empty());
 }
 
-// RankPacked — the join's batched key kernel over a chunk's packed
-// coordinate column — is exactly Rank applied pointwise after the per-dim
-// lo offset, including on negative coordinates.
-TEST(HilbertFastTest, RankPackedEquivalentToScalarWithOffsets) {
-  util::Rng rng(618);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = 1 + static_cast<int>(rng.NextBounded(4));
-    const int bits = 5;
-    std::vector<int64_t> lo(static_cast<size_t>(n));
-    for (auto& l : lo) {
-      l = static_cast<int64_t>(rng.NextBounded(400)) - 200;  // Can go negative.
-    }
-    const size_t count = 1 + rng.NextBounded(256);
-    std::vector<int64_t> packed(count * static_cast<size_t>(n));
-    for (auto& c : packed) c = static_cast<int64_t>(rng.NextBounded(32));
-    for (size_t i = 0; i < packed.size(); ++i) {
-      packed[i] += lo[i % static_cast<size_t>(n)];
-    }
-    const HilbertCodec codec(n, bits);
-    std::vector<uint64_t> got(count);
-    codec.RankPacked(packed.data(), count, lo.data(), got.data());
-    std::vector<uint32_t> point(static_cast<size_t>(n));
-    for (size_t i = 0; i < count; ++i) {
-      for (size_t d = 0; d < static_cast<size_t>(n); ++d) {
-        point[d] = static_cast<uint32_t>(
-            packed[i * static_cast<size_t>(n) + d] - lo[d]);
-      }
-      ASSERT_EQ(got[i], codec.Rank(point.data()))
-          << "trial=" << trial << " i=" << i;
-    }
-  }
-}
-
 TEST(HilbertFastTest, CodecRankCheckedAgreesWithFreeFunction) {
   const array::Coordinates extents = {36, 29, 23};
   const HilbertCodec codec(3, BitsForExtents(extents));

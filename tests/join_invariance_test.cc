@@ -1,24 +1,25 @@
-// Invariance suite for the radix-partitioned rank-key joins (exec/join.h):
-// DimJoinCount and AttrJoinCount must be bit-identical across thread
-// counts, morsel grains, AND partition-bit settings — and must agree
-// exactly with the retired unordered_set implementation, which stays in
-// the tree as the executable multiplicity-semantics specification
+// Invariance suite for the joins (exec/join.h): DimJoinCount and
+// AttrJoinCount must be bit-identical across thread counts and morsel
+// grains, with either side passed first, and DimJoinCount must agree
+// exactly with the unordered_set implementation that stays in the tree as
+// the executable multiplicity-semantics specification
 // (internal::DimJoinCountBySet). Small grains force genuinely multi-morsel
-// builds and probes on the sample workloads, so the parallel partition
-// scatter, table build, and probe paths are exercised for real (this
-// suite runs under the TSan CI job).
+// merge counts and probes on the sample workloads, so the parallel paths
+// are exercised for real (this suite runs under the TSan CI job).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "array/array.h"
 #include "exec/join.h"
 #include "exec/morsel.h"
+#include "telemetry/telemetry.h"
 #include "workload/sample_data.h"
 
 namespace arraydb::exec {
@@ -30,18 +31,31 @@ using array::AttrType;
 using array::AttributeDesc;
 using array::DimensionDesc;
 
-ExecContext Opts(int threads, int64_t grain, int partition_bits) {
+ExecContext Opts(int threads, int64_t grain) {
   ExecContext opts;
   opts.data_plane_threads = threads;
   opts.morsel_grain = grain;
-  opts.join_partition_bits = partition_bits;
   return opts;
 }
 
 // threads = 1 (the sequential definition), 2, and 0 = all hardware.
 std::vector<int> ThreadCounts() { return {1, 2, 0}; }
 std::vector<int64_t> Grains() { return {192, 16384}; }
-std::vector<int> PartitionBits() { return {0, 4, 8}; }
+
+// DimJoinCount(a, b) and DimJoinCount(b, a) against the set spec at every
+// (threads, grain) point.
+void ExpectMatchesSetSpecEverywhere(const Array& a, const Array& b) {
+  const int64_t want_ab = internal::DimJoinCountBySet(a, b);
+  const int64_t want_ba = internal::DimJoinCountBySet(b, a);
+  for (const int threads : ThreadCounts()) {
+    for (const int64_t grain : Grains()) {
+      EXPECT_EQ(DimJoinCount(a, b, Opts(threads, grain)), want_ab)
+          << "threads=" << threads << " grain=" << grain;
+      EXPECT_EQ(DimJoinCount(b, a, Opts(threads, grain)), want_ba)
+          << "swapped, threads=" << threads << " grain=" << grain;
+    }
+  }
+}
 
 // Two overlapping 3-D sample arrays: the MODIS band and a second band
 // shifted in time so the position intersection is a strict subset of both.
@@ -59,35 +73,19 @@ class JoinInvarianceTest : public ::testing::Test {
 };
 
 TEST_F(JoinInvarianceTest, DimJoinMatchesSetSpecEverywhere) {
-  // The retired set join is the semantics oracle; the radix join must
-  // reproduce it exactly at every (threads, grain, partition bits) point,
-  // with either side passed first.
-  const int64_t want = internal::DimJoinCountBySet(modis_, other_);
-  ASSERT_GT(want, 0);  // The bands overlap; a zero join would test nothing.
-  for (const int threads : ThreadCounts()) {
-    for (const int64_t grain : Grains()) {
-      for (const int bits : PartitionBits()) {
-        EXPECT_EQ(DimJoinCount(modis_, other_, Opts(threads, grain, bits)),
-                  want)
-            << "threads=" << threads << " grain=" << grain
-            << " bits=" << bits;
-        EXPECT_EQ(DimJoinCount(other_, modis_, Opts(threads, grain, bits)),
-                  want)
-            << "swapped, threads=" << threads << " grain=" << grain
-            << " bits=" << bits;
-      }
-    }
-  }
+  // The set join is the semantics oracle; the merge join must reproduce
+  // it exactly at every (threads, grain) point, with either side first.
+  ASSERT_GT(internal::DimJoinCountBySet(modis_, other_), 0);  // Overlap.
+  ExpectMatchesSetSpecEverywhere(modis_, other_);
 }
 
 TEST_F(JoinInvarianceTest, DimJoinSelfJoinCountsEveryCell) {
-  // Self-join touches every position: a different load profile for the
-  // partition tables (100% hit rate).
+  // Self-join touches every position: every chunk pairs, 100% hit rate.
   const int64_t want = internal::DimJoinCountBySet(ais_, ais_);
   for (const int threads : ThreadCounts()) {
-    for (const int bits : PartitionBits()) {
-      EXPECT_EQ(DimJoinCount(ais_, ais_, Opts(threads, 192, bits)), want)
-          << "threads=" << threads << " bits=" << bits;
+    for (const int64_t grain : Grains()) {
+      EXPECT_EQ(DimJoinCount(ais_, ais_, Opts(threads, grain)), want)
+          << "threads=" << threads << " grain=" << grain;
     }
   }
 }
@@ -104,12 +102,8 @@ TEST_F(JoinInvarianceTest, AttrJoinInvariantAndLlroundKeyed) {
   ASSERT_GT(want, 0);
   for (const int threads : ThreadCounts()) {
     for (const int64_t grain : Grains()) {
-      for (const int bits : PartitionBits()) {
-        EXPECT_EQ(AttrJoinCount(ais_, 0, keys, Opts(threads, grain, bits)),
-                  want)
-            << "threads=" << threads << " grain=" << grain
-            << " bits=" << bits;
-      }
+      EXPECT_EQ(AttrJoinCount(ais_, 0, keys, Opts(threads, grain)), want)
+          << "threads=" << threads << " grain=" << grain;
     }
   }
 }
@@ -118,33 +112,28 @@ TEST_F(JoinInvarianceTest, AttrJoinInvariantAndLlroundKeyed) {
 
 TEST_F(JoinInvarianceTest, EmptyArraysJoinEmpty) {
   const Array empty(modis_.schema());
-  for (const int bits : PartitionBits()) {
-    EXPECT_EQ(DimJoinCount(empty, modis_, Opts(2, 192, bits)), 0);
-    EXPECT_EQ(DimJoinCount(modis_, empty, Opts(2, 192, bits)), 0);
-    EXPECT_EQ(DimJoinCount(empty, empty, Opts(2, 192, bits)), 0);
-  }
+  EXPECT_EQ(DimJoinCount(empty, modis_, Opts(2, 192)), 0);
+  EXPECT_EQ(DimJoinCount(modis_, empty, Opts(2, 192)), 0);
+  EXPECT_EQ(DimJoinCount(empty, empty, Opts(2, 192)), 0);
   EXPECT_EQ(AttrJoinCount(empty, 0, {1, 2, 3}), 0);
   EXPECT_EQ(AttrJoinCount(ais_, 0, {}), 0);
 }
 
 TEST_F(JoinInvarianceTest, RankMismatchJoinsEmpty) {
   // A 2-D array never shares a position with a 3-D array: the join is
-  // empty by definition, not a crash, at every partition setting.
+  // empty by definition, not a crash.
   ArraySchema schema("flat", {DimensionDesc{"x", 0, 31, 4, false},
                               DimensionDesc{"y", 0, 15, 4, false}},
                      {AttributeDesc{"v", AttrType::kDouble}});
   Array flat(schema);
   ASSERT_TRUE(flat.InsertCell({3, 3}, {1.0}).ok());
-  for (const int bits : PartitionBits()) {
-    EXPECT_EQ(DimJoinCount(flat, modis_, Opts(2, 192, bits)), 0);
-    EXPECT_EQ(DimJoinCount(modis_, flat, Opts(2, 192, bits)), 0);
-  }
+  EXPECT_EQ(DimJoinCount(flat, modis_, Opts(2, 192)), 0);
+  EXPECT_EQ(DimJoinCount(modis_, flat, Opts(2, 192)), 0);
 }
 
-TEST(JoinEdgeTest, NegativeCoordinatesKeyCorrectly) {
-  // Longitude-style dimensions centered on zero: the join key space must
-  // offset coordinates by the union bounding box's low corner, not assume
-  // non-negative inputs.
+TEST(JoinEdgeTest, NegativeCoordinatesJoinCorrectly) {
+  // Longitude-style dimensions centered on zero: chunk coordinates and
+  // positions go negative on both sides.
   ArraySchema schema("lonlat", {DimensionDesc{"lon", -180, 179, 8, false},
                                 DimensionDesc{"lat", -90, 89, 8, false}},
                      {AttributeDesc{"v", AttrType::kDouble}});
@@ -158,19 +147,53 @@ TEST(JoinEdgeTest, NegativeCoordinatesKeyCorrectly) {
   }
   const int64_t want = internal::DimJoinCountBySet(a, b);
   EXPECT_EQ(want, 26);  // lon in [-5, 20].
-  for (const int threads : {1, 2, 0}) {
-    for (const int bits : {0, 4, 8}) {
-      EXPECT_EQ(DimJoinCount(a, b, Opts(threads, 192, bits)), want)
-          << "threads=" << threads << " bits=" << bits;
-    }
-  }
+  ExpectMatchesSetSpecEverywhere(a, b);
 }
 
-TEST(JoinEdgeTest, WideKeySpaceFallsBackToTheSetJoin) {
-  // One unbounded dimension spanning more than 2^32 cells cannot be ranked
-  // in the codec's uint32 lanes: the join must take the set fallback and
-  // still count exactly, up to the top of int64. A span of exactly 2^32
-  // cells is the widest the rank path keys.
+TEST(JoinEdgeTest, DifferentGridsTakeTheSetJoin) {
+  // Same rank, different chunk boundaries: a position may sit in chunks
+  // at different coordinates on the two sides, so the merge join cannot
+  // pair them and the set join runs instead.
+  const auto make = [](int64_t lo, int64_t interval, int64_t step) {
+    ArraySchema schema("grid", {DimensionDesc{"x", lo, 63, interval, false},
+                                DimensionDesc{"y", lo, 63, interval, false}},
+                       {AttributeDesc{"v", AttrType::kDouble}});
+    Array a(schema);
+    for (int64_t x = 1; x < 64; x += step) {
+      for (int64_t y = 1; y < 64; y += step) {
+        EXPECT_TRUE(a.InsertCell({x, y}, {1.0}).ok());
+      }
+    }
+    return a;
+  };
+  const Array by4 = make(0, 4, 2);
+  const Array by8 = make(0, 8, 3);
+  const Array shifted = make(1, 4, 3);
+  for (const Array* other : {&by8, &shifted}) {
+    ASSERT_GT(internal::DimJoinCountBySet(by4, *other), 0);
+    ExpectMatchesSetSpecEverywhere(by4, *other);
+  }
+#if ARRAYDB_TELEMETRY_ENABLED
+  telemetry::ScopedEnabled on(true);
+  telemetry::Counter& fallbacks =
+      telemetry::Registry::Global().counter("exec.join.set_fallbacks");
+  const int64_t before = fallbacks.Value();
+  EXPECT_EQ(DimJoinCount(by4, by8), internal::DimJoinCountBySet(by4, by8));
+  EXPECT_EQ(DimJoinCount(shifted, by4),
+            internal::DimJoinCountBySet(shifted, by4));
+  EXPECT_EQ(fallbacks.Value(), before + 2);
+  // One grid: the merge join, no fallback.
+  const Array same_grid = make(0, 4, 3);
+  EXPECT_EQ(DimJoinCount(by4, same_grid),
+            internal::DimJoinCountBySet(by4, same_grid));
+  EXPECT_EQ(fallbacks.Value(), before + 2);
+#endif
+}
+
+TEST(JoinEdgeTest, WideUnboundedDimensionJoinsExactly) {
+  // One unbounded dimension whose cells lie up to the top of int64 apart:
+  // both arrays share one grid, so the merge join pairs the far chunks
+  // and still counts exactly.
   ArraySchema schema("wide", {DimensionDesc{"t", 0, 0, 1024, true}},
                      {AttributeDesc{"v", AttrType::kDouble}});
   for (const int64_t x : {(int64_t{1} << 32) - 1, int64_t{1} << 33,
@@ -185,10 +208,8 @@ TEST(JoinEdgeTest, WideKeySpaceFallsBackToTheSetJoin) {
     ASSERT_TRUE(b.InsertCell({5}, {5.0}).ok());
     const int64_t want = internal::DimJoinCountBySet(a, b);
     EXPECT_EQ(want, 2) << "x=" << x;
-    for (const int bits : PartitionBits()) {
-      EXPECT_EQ(DimJoinCount(a, b, Opts(2, 192, bits)), want)
-          << "x=" << x << " bits=" << bits;
-    }
+    SCOPED_TRACE("x=" + std::to_string(x));
+    ExpectMatchesSetSpecEverywhere(a, b);
   }
   Array low(schema);
   EXPECT_EQ(low.InsertCell({std::numeric_limits<int64_t>::min()}, {1.0})
@@ -200,11 +221,15 @@ TEST(JoinEdgeTest, WideKeySpaceFallsBackToTheSetJoin) {
 
 namespace {
 
-Array MakeLine(int64_t n, int copies_per_pos) {
+// Positions [0, n), each stored `copies_per_pos` times, inserted in
+// ascending order or, with `descending`, from n - 1 down to 0: then every
+// chunk holds its cells in reverse position order.
+Array MakeLine(int64_t n, int copies_per_pos, bool descending = false) {
   ArraySchema schema("line", {DimensionDesc{"x", 0, 63, 8, false}},
                      {AttributeDesc{"v", AttrType::kDouble}});
   Array a(schema);
-  for (int64_t x = 0; x < n; ++x) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t x = descending ? n - 1 - i : i;
     for (int c = 0; c < copies_per_pos; ++c) {
       EXPECT_TRUE(a.InsertCell({x}, {static_cast<double>(x)}).ok());
     }
@@ -221,11 +246,8 @@ TEST(JoinMultiplicityTest, BuildSideDuplicatesCountOnce) {
   const Array dup = MakeLine(5, /*copies_per_pos=*/2);
   const Array wide = MakeLine(20, /*copies_per_pos=*/1);
   ASSERT_LE(dup.total_cells(), wide.total_cells());
-  for (const int bits : {0, 4, 8}) {
-    EXPECT_EQ(DimJoinCount(dup, wide, Opts(2, 192, bits)), 5)
-        << "bits=" << bits;
-  }
   EXPECT_EQ(internal::DimJoinCountBySet(dup, wide), 5);
+  ExpectMatchesSetSpecEverywhere(dup, wide);
 }
 
 TEST(JoinMultiplicityTest, ProbeSideDuplicatesEachCount) {
@@ -234,11 +256,27 @@ TEST(JoinMultiplicityTest, ProbeSideDuplicatesEachCount) {
   const Array small = MakeLine(3, /*copies_per_pos=*/1);
   const Array dup = MakeLine(8, /*copies_per_pos=*/3);
   ASSERT_LE(small.total_cells(), dup.total_cells());
-  for (const int bits : {0, 4, 8}) {
-    EXPECT_EQ(DimJoinCount(small, dup, Opts(2, 192, bits)), 9)
-        << "bits=" << bits;
-  }
   EXPECT_EQ(internal::DimJoinCountBySet(small, dup), 9);
+  ExpectMatchesSetSpecEverywhere(small, dup);
+}
+
+TEST(JoinMultiplicityTest, DescendingDuplicatesOnBothSides) {
+  // Cells stored in reverse position order within each chunk, with
+  // duplicates on both sides: the per-pair sort must bring equal
+  // positions together. down (3 copies of [0, 10), 30 cells) builds
+  // against up (2 copies of [0, 20), 40 cells): positions 0..9 match, and
+  // each of up's 2 copies counts once -> 20.
+  const Array down = MakeLine(10, /*copies_per_pos=*/3, /*descending=*/true);
+  const Array up = MakeLine(20, /*copies_per_pos=*/2, /*descending=*/true);
+  ASSERT_LE(down.total_cells(), up.total_cells());
+  EXPECT_EQ(internal::DimJoinCountBySet(down, up), 20);
+  ExpectMatchesSetSpecEverywhere(down, up);
+  // Same cell counts: the first argument builds in either order.
+  const Array asc = MakeLine(15, /*copies_per_pos=*/2);
+  ASSERT_EQ(asc.total_cells(), down.total_cells());
+  EXPECT_EQ(internal::DimJoinCountBySet(down, asc), 20);
+  EXPECT_EQ(internal::DimJoinCountBySet(asc, down), 30);
+  ExpectMatchesSetSpecEverywhere(down, asc);
 }
 
 TEST(JoinMultiplicityTest, TiesBuildTheFirstArgument) {
@@ -249,11 +287,10 @@ TEST(JoinMultiplicityTest, TiesBuildTheFirstArgument) {
   const Array plain = MakeLine(6, /*copies_per_pos=*/1);  // 6 cells.
   ASSERT_EQ(dup.total_cells(), plain.total_cells());
   // dup builds -> 3 distinct keys, probe cells 0..2 match -> 3.
-  EXPECT_EQ(DimJoinCount(dup, plain, Opts(2, 192, 4)), 3);
   EXPECT_EQ(internal::DimJoinCountBySet(dup, plain), 3);
   // plain builds -> 6 keys, probe cells are 2 copies of 0..2 -> 6.
-  EXPECT_EQ(DimJoinCount(plain, dup, Opts(2, 192, 4)), 6);
   EXPECT_EQ(internal::DimJoinCountBySet(plain, dup), 6);
+  ExpectMatchesSetSpecEverywhere(dup, plain);
 }
 
 // -- AttrJoinKey (llround) semantics ----------------------------------------

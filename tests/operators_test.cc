@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -407,6 +408,31 @@ TEST(GroupByTest, BinsSumCorrectly) {
   // Sum over x=0..3,y=0..7 of 10x+y: 32 cells, sum = 10*(0+1+2+3)*8 + 28*4.
   EXPECT_DOUBLE_EQ(groups.at({0, 0}), 10.0 * 6 * 8 + 28.0 * 4);
   EXPECT_DOUBLE_EQ(groups.at({4, 0}), 10.0 * 22 * 8 + 28.0 * 4);
+}
+
+TEST(GroupByTest, BinOriginsNearInt64MinSaturate) {
+  // x in [INT64_MIN + 1, -1], bins of 3: the multiple of 3 at or below
+  // INT64_MIN + 1 is INT64_MIN - 1, so that cell's bin saturates to
+  // INT64_MIN; INT64_MIN + 2 is itself a multiple of 3.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const ArraySchema schema(
+      "low", {DimensionDesc{"x", kMin + 1, -1, 4, false}},
+      {AttributeDesc{"v", AttrType::kDouble}});
+  ASSERT_TRUE(schema.Validate().ok());
+  Array a(schema);
+  ASSERT_TRUE(a.InsertCell({kMin + 1}, {1.0}).ok());
+  ASSERT_TRUE(a.InsertCell({kMin + 2}, {2.0}).ok());
+  ASSERT_TRUE(a.InsertCell({kMin + 4}, {4.0}).ok());
+  ASSERT_TRUE(a.InsertCell({-1}, {8.0}).ok());
+  const std::map<Coordinates, double> want = {
+      {{kMin}, 1.0}, {{kMin + 2}, 6.0}, {{-3}, 8.0}};
+  EXPECT_EQ(GroupBySum(a, {3}, 0), want);
+  // A chunk whose cells all share the saturated bin takes the one-bin
+  // fast path.
+  Array alone(schema);
+  ASSERT_TRUE(alone.InsertCell({kMin + 1}, {1.0}).ok());
+  EXPECT_EQ(GroupBySum(alone, {3}, 0),
+            (std::map<Coordinates, double>{{{kMin}, 1.0}}));
 }
 
 TEST(WindowTest, AverageAtInteriorCell) {
