@@ -1,8 +1,8 @@
-// Ablation microbenchmarks for the Hilbert curve substrate: index
-// throughput across dimensionalities, the batched/codec ranking fast path
-// against the seed per-bit scalar path, plus a locality comparison of
-// chunk orderings (Hilbert vs row-major vs Z-order) — the property the
-// Hilbert partitioner's range splits depend on.
+// Ablation microbenchmarks for the Hilbert curve substrate: codec index
+// throughput across dimensionalities, codec ranking (a codec per call, and
+// one codec over a batch) against the seed per-bit reference path, plus a
+// locality comparison of chunk orderings (Hilbert vs row-major vs Z-order)
+// — the property the Hilbert partitioner's range splits depend on.
 //
 // Emits BENCH_hilbert.json (ns/op + items/s per benchmark, and the
 // batch-vs-seed speedup ratios) for cross-PR perf tracking.
@@ -22,7 +22,13 @@ namespace {
 
 using namespace arraydb;
 
-void BM_HilbertIndex(benchmark::State& state) {
+// A codec sized to (dims, bits), built per call.
+hilbert::HilbertCodec MakeCodec(int dims, int bits) {
+  return hilbert::HilbertCodec::Create(dims, bits).value();
+}
+
+// One index per call, the codec built per call.
+void BM_CodecIndexPerCall(benchmark::State& state) {
   const int dims = static_cast<int>(state.range(0));
   const int bits = static_cast<int>(state.range(1));
   util::Rng rng(5);
@@ -31,11 +37,12 @@ void BM_HilbertIndex(benchmark::State& state) {
     for (auto& c : point) {
       c = static_cast<uint32_t>(rng.NextBounded(1ULL << bits));
     }
-    benchmark::DoNotOptimize(hilbert::HilbertIndex(point, bits));
+    benchmark::DoNotOptimize(MakeCodec(dims, bits).Rank(point.data()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_HilbertIndex)
+BENCHMARK(BM_CodecIndexPerCall)
+    ->Name("BM_HilbertIndex")
     ->Args({2, 8})
     ->Args({3, 6})
     ->Args({3, 10})
@@ -59,8 +66,9 @@ BENCHMARK(BM_HilbertPoint)->Args({2, 8})->Args({3, 6});
 // same rectangular grid, so items/s is directly comparable:
 //   Seed    — the original per-call path: per-bit gather + rotate/gray
 //             arithmetic, per-call setup (HilbertRankReference).
-//   Scalar  — the codec fast path behind the unchanged HilbertRank API.
-//   Batch   — HilbertRankBatch, codec setup amortized over the batch.
+//   Scalar  — a codec sized to the grid per call, one RankChecked.
+//   Batch   — one codec per batch ranks every point, as
+//             HilbertPartitioner::RankOf does with its codec.
 
 struct RankGrid {
   array::Coordinates extents;
@@ -104,24 +112,35 @@ void BM_HilbertRankScalar(benchmark::State& state) {
   const auto& grid = kRankGrids[static_cast<size_t>(state.range(0))];
   const auto points = MakeRankPoints(grid.extents, kRankBatchSize);
   size_t i = 0;
+  const int dims = static_cast<int>(grid.extents.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hilbert::HilbertRank(points[i], grid.extents));
+    benchmark::DoNotOptimize(
+        MakeCodec(dims, hilbert::BitsForExtents(grid.extents))
+            .RankChecked(points[i], grid.extents));
     i = (i + 1) % points.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HilbertRankScalar)->Arg(0)->Arg(1);
 
-void BM_HilbertRankBatch(benchmark::State& state) {
+void BM_CodecRankBatch(benchmark::State& state) {
   const auto& grid = kRankGrids[static_cast<size_t>(state.range(0))];
   const auto points = MakeRankPoints(grid.extents, kRankBatchSize);
+  const int dims = static_cast<int>(grid.extents.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hilbert::HilbertRankBatch(points, grid.extents));
+    const hilbert::HilbertCodec codec =
+        MakeCodec(dims, hilbert::BitsForExtents(grid.extents));
+    std::vector<uint64_t> ranks;
+    ranks.reserve(points.size());
+    for (const auto& coords : points) {
+      ranks.push_back(codec.RankChecked(coords, grid.extents));
+    }
+    benchmark::DoNotOptimize(ranks);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(points.size()));
 }
-BENCHMARK(BM_HilbertRankBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_CodecRankBatch)->Name("BM_HilbertRankBatch")->Arg(0)->Arg(1);
 
 // Mean Manhattan jump between consecutive cells of an ordering — lower is
 // better locality for range partitioning.
@@ -149,7 +168,8 @@ void BM_OrderingLocality(benchmark::State& state) {
         uint64_t key = 0;
         switch (mode) {
           case kHilbert:
-            key = hilbert::HilbertRank({x, y}, extents);
+            key = MakeCodec(2, hilbert::BitsForExtents(extents))
+                      .RankChecked({x, y}, extents);
             break;
           case kRowMajor:
             key = static_cast<uint64_t>(x * side + y);

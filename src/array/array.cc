@@ -73,23 +73,6 @@ util::Status Array::InsertCell(const Coordinates& pos,
   return util::Status::Ok();
 }
 
-util::Status Array::AddSyntheticChunk(const ChunkInfo& info) {
-  if (!schema_.ChunkInBounds(info.coords)) {
-    return util::OutOfRange("chunk outside declared grid: " +
-                            CoordinatesToString(info.coords));
-  }
-  const auto [it, inserted] = chunks_.try_emplace(info.coords, info.coords);
-  if (!inserted) {
-    return util::AlreadyExists("chunk exists (no-overwrite storage): " +
-                               CoordinatesToString(info.coords));
-  }
-  it->second.SetSyntheticSize(info.cell_count, info.bytes);
-  AddToDirectory(&it->second);
-  total_cells_ += info.cell_count;
-  total_bytes_ += info.bytes;
-  return util::Status::Ok();
-}
-
 const Chunk* Array::FindChunk(const Coordinates& chunk_coords) const {
   const auto it = chunks_.find(chunk_coords);
   return it == chunks_.end() ? nullptr : &it->second;

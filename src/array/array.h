@@ -1,6 +1,8 @@
 // An Array is a schema plus a sparse collection of non-empty chunks keyed by
 // chunk-grid coordinates. Only non-empty cells are stored, so the on-disk
 // footprint is a function of cell counts, not the declared array size (§2).
+// A chunk exists only once a cell lands in it: every chunk holds at least
+// one cell and has a valid bounding box.
 //
 // Beside the chunk map, the array keeps a chunk directory: pointers to every
 // chunk in lexicographic chunk-coordinate order, maintained on write. Readers
@@ -36,13 +38,9 @@ class Array {
 
   /// Inserts a materialized cell at logical position `pos`; routes it into
   /// the owning chunk (creating the chunk, and its directory entry, if
-  /// needed).
+  /// needed). A rejected cell (wrong rank or attribute count, outside the
+  /// declared range, or a chunk index past int64) changes nothing.
   util::Status InsertCell(const Coordinates& pos, std::vector<double> values);
-
-  /// Registers a synthetic chunk with only metadata (paper-scale mode).
-  /// Fails if a chunk already exists at those coordinates: the paper's
-  /// storage model is strictly no-overwrite.
-  util::Status AddSyntheticChunk(const ChunkInfo& info);
 
   /// Looks up a chunk; nullptr when absent.
   const Chunk* FindChunk(const Coordinates& chunk_coords) const;
@@ -54,11 +52,11 @@ class Array {
   /// Chunk metadata in deterministic (lexicographic) order.
   std::vector<ChunkInfo> ChunkInfos() const;
 
-  /// The chunk directory: pointers to all chunks (empty synthetic ones
-  /// included) in lexicographic chunk-coordinate order, for operators that
-  /// must produce order-stable output. Maintained on write, not per call:
-  /// a new chunk is appended when it sorts last (time-ordered ingest) and
-  /// otherwise inserted at its place, O(C) in the worst case. The reference
+  /// The chunk directory: pointers to all chunks in lexicographic
+  /// chunk-coordinate order, for operators that must produce order-stable
+  /// output. Maintained on write, not per call: a new chunk is appended
+  /// when it sorts last (time-ordered ingest) and otherwise inserted at its
+  /// place, O(C) in the worst case. The reference
   /// stays valid, and its order current, across later writes; the pointers
   /// stay valid until the array is destroyed (a moved-to array takes them
   /// over; a copy gets its own).

@@ -5,8 +5,8 @@
 // gathers, kNN sampling) iterate the chunks' columnar storage through it
 // and index cells by a stable global position.
 //
-// Holds pointers into the array: valid only while the array outlives the
-// view unmodified.
+// Refers to the array's chunk directory: valid only while the array outlives
+// the view unmodified.
 
 #ifndef ARRAYDB_ARRAY_CELL_SPAN_H_
 #define ARRAYDB_ARRAY_CELL_SPAN_H_
@@ -22,16 +22,15 @@ namespace arraydb::array {
 
 class CellSpanView {
  public:
-  /// Views every materialized cell of `array` (synthetic metadata-only
-  /// chunks contribute nothing, matching AllCells()).
+  /// Views every cell of `array`.
   explicit CellSpanView(const Array& array);
 
   /// Materialized cells covered by the view.
   int64_t num_cells() const { return num_cells_; }
   bool empty() const { return num_cells_ == 0; }
 
-  /// Non-empty chunks in lexicographic coordinate order.
-  const std::vector<const Chunk*>& chunks() const { return chunks_; }
+  /// The array's chunk directory (lexicographic coordinate order).
+  const std::vector<const Chunk*>& chunks() const { return *chunks_; }
 
   struct Location {
     const Chunk* chunk = nullptr;
@@ -54,7 +53,7 @@ class CellSpanView {
     size_t chunk_idx = static_cast<size_t>(it - offsets_.begin()) - 1;
     int64_t cursor = begin;
     while (cursor < end) {
-      const Chunk* chunk = chunks_[chunk_idx];
+      const Chunk* chunk = (*chunks_)[chunk_idx];
       const int64_t chunk_begin = offsets_[chunk_idx];
       const int64_t chunk_end = offsets_[chunk_idx + 1];
       const int64_t slice_end = std::min(end, chunk_end);
@@ -70,7 +69,7 @@ class CellSpanView {
   template <typename Fn>
   void ForEachCell(Fn&& fn) const {
     int64_t global = 0;
-    for (const Chunk* chunk : chunks_) {
+    for (const Chunk* chunk : *chunks_) {
       const size_t n = chunk->num_cells();
       for (size_t i = 0; i < n; ++i, ++global) {
         fn(*chunk, i, global);
@@ -83,7 +82,7 @@ class CellSpanView {
   std::vector<double> GatherAttr(size_t attr) const;
 
  private:
-  std::vector<const Chunk*> chunks_;
+  const std::vector<const Chunk*>* chunks_;  // The array's directory.
   std::vector<int64_t> offsets_;  // Cumulative cell counts; size chunks_+1.
   int64_t num_cells_ = 0;
 };

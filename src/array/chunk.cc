@@ -18,7 +18,7 @@ void Chunk::AppendCell(const Coordinates& pos,
                        const std::vector<double>& values,
                        int64_t bytes_per_cell) {
   ARRAYDB_CHECK_EQ(pos.size(), info_.coords.size());
-  if (num_cells() == 0) {
+  if (coords_.empty()) {
     attrs_.resize(values.size());
     bbox_lo_ = pos;
     bbox_hi_ = pos;
@@ -30,19 +30,9 @@ void Chunk::AppendCell(const Coordinates& pos,
     }
   }
   coords_.insert(coords_.end(), pos.begin(), pos.end());
-  ++num_cells_;
   for (size_t a = 0; a < values.size(); ++a) attrs_[a].push_back(values[a]);
   info_.cell_count += 1;
   info_.bytes += bytes_per_cell;
-}
-
-void Chunk::SetSyntheticSize(int64_t cell_count, int64_t bytes) {
-  // Synthetic and materialized modes are exclusive.
-  ARRAYDB_CHECK(coords_.empty());
-  ARRAYDB_CHECK_GE(cell_count, 0);
-  ARRAYDB_CHECK_GE(bytes, 0);
-  info_.cell_count = cell_count;
-  info_.bytes = bytes;
 }
 
 Cell Chunk::MaterializeCell(size_t i) const {

@@ -7,8 +7,9 @@
 // collocated on the same node, so placement operates on the combined size.
 //
 // ChunkInfo carries only metadata (coordinates + cell count + bytes), which
-// is what the paper-scale simulation uses. Chunk optionally materializes
-// cell payloads for small-scale query execution in tests and examples.
+// is what the paper-scale simulation places. Chunk materializes the cells
+// themselves for query execution; it is created with its first cell, so it
+// always holds at least one.
 //
 // Materialized storage is columnar (structure of arrays): one packed
 // coordinate vector (ndims values per cell, insertion order) plus one
@@ -48,7 +49,6 @@ struct Cell {
 /// A materialized chunk: metadata plus columnar cell payload.
 class Chunk {
  public:
-  Chunk() = default;
   explicit Chunk(Coordinates coords) { info_.coords = std::move(coords); }
 
   const ChunkInfo& info() const { return info_; }
@@ -60,14 +60,10 @@ class Chunk {
   void AppendCell(const Coordinates& pos, const std::vector<double>& values,
                   int64_t bytes_per_cell);
 
-  /// Sets a synthetic physical size without materializing cells (used by the
-  /// paper-scale generators, where only the footprint matters).
-  void SetSyntheticSize(int64_t cell_count, int64_t bytes);
-
   // -- Columnar access ------------------------------------------------------
 
-  /// Number of materialized cells (0 for synthetic chunks).
-  size_t num_cells() const { return num_cells_; }
+  /// Number of stored cells: cell_count() as an index type.
+  size_t num_cells() const { return static_cast<size_t>(info_.cell_count); }
 
   /// Rank of stored positions (the chunk-grid rank).
   size_t num_dims() const { return info_.coords.size(); }
@@ -95,15 +91,11 @@ class Chunk {
   Cell MaterializeCell(size_t i) const;
 
   /// Bounding box over the stored positions, inclusive on both ends.
-  /// Valid only when num_cells() > 0.
   const Coordinates& bbox_lo() const { return bbox_lo_; }
   const Coordinates& bbox_hi() const { return bbox_hi_; }
 
  private:
   ChunkInfo info_;
-  // Kept beside the columns so the per-chunk walks of every operator read
-  // it without dividing the packed length by the rank.
-  size_t num_cells_ = 0;
   std::vector<int64_t> coords_;            // num_cells * num_dims, packed.
   std::vector<std::vector<double>> attrs_; // One column per attribute.
   Coordinates bbox_lo_;

@@ -52,7 +52,7 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
                                 const array::ArraySchema& schema) const {
   (void)schema;
   QueryCost cost;
-  cost.minutes = params_.startup_minutes;
+  cost.minutes = kParams.startup_minutes;
 
   // Gather the chunks this query touches, with their routed owners, in
   // sorted chunk order (the PlacementView::ForEachChunk contract).
@@ -87,10 +87,31 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
       cost.scanned_gb += gb * scan_factor;
       node_minutes[static_cast<size_t>(rec.node)] +=
           gb * scan_factor *
-          (params_.io_read_min_per_gb + spec.cpu_min_per_gb * cpu_iters);
+          (kParams.io_read_min_per_gb + spec.cpu_min_per_gb * cpu_iters);
     }
     cost.chunks_touched = static_cast<int64_t>(relevant.size());
   }
+
+  // Halo exchange for the spatial operators: a neighbor chunk stored on a
+  // different node than the reader costs a chunk transfer, charged to the
+  // reader. Each distinct (reader, neighbor) pair is fetched once per query
+  // — nodes cache chunks they already pulled.
+  std::set<std::pair<cluster::NodeId, array::Coordinates>> fetched;
+  const auto fetch_remote = [&](const cluster::ChunkRecord& rec,
+                                const array::Coordinates& nb) {
+    cluster::NodeId nb_node = cluster::kInvalidNode;
+    int64_t nb_bytes = 0;
+    if (!placement.Lookup(nb, &nb_node, &nb_bytes)) return;
+    if (nb_node == rec.node) return;
+    if (!fetched.emplace(rec.node, nb).second) return;
+    const double nb_gb = util::BytesToGb(static_cast<double>(nb_bytes));
+    // arraydb-lint: fixed-order -- callers visit readers in a fixed order
+    // (sorted chunks or seeded probes) and neighbors in a fixed order.
+    node_minutes[static_cast<size_t>(rec.node)] +=
+        spec.halo_fraction * nb_gb * kParams.net_min_per_gb +
+        kParams.remote_fetch_minutes;
+    ++cost.remote_neighbor_fetches;
+  };
 
   // Kind-specific distributed costs.
   switch (spec.kind) {
@@ -101,40 +122,25 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
       // Each node ships its surviving fraction to the coordinator, which
       // merges serially.
       cost.network_minutes +=
-          cost.scanned_gb * spec.selectivity * params_.net_min_per_gb;
+          cost.scanned_gb * spec.selectivity * kParams.net_min_per_gb;
       break;
     }
     case QueryKind::kAttrJoin: {
       // The small side is broadcast to every node once.
-      cost.network_minutes += spec.small_side_gb * params_.net_min_per_gb;
+      cost.network_minutes += spec.small_side_gb * kParams.net_min_per_gb;
       break;
     }
     case QueryKind::kGroupBy: {
       // Partial aggregates are exchanged in a short synchronization round.
       cost.network_minutes +=
-          params_.sync_minutes * static_cast<double>(num_nodes);
+          kParams.sync_minutes * static_cast<double>(num_nodes);
       break;
     }
     case QueryKind::kWindow: {
-      // Halo exchange: every face-adjacent neighbor stored on a different
-      // node costs a chunk transfer, charged to the reader. Each distinct
-      // (reader, neighbor) pair is fetched once per query — nodes cache
-      // chunks they already pulled.
-      std::set<std::pair<cluster::NodeId, array::Coordinates>> fetched;
+      // Halo exchange with every face-adjacent neighbor.
       for (const auto& rec : relevant) {
         ForEachFaceNeighbor(rec.coords, [&](const array::Coordinates& nb) {
-          cluster::NodeId nb_node = cluster::kInvalidNode;
-          int64_t nb_bytes = 0;
-          if (!placement.Lookup(nb, &nb_node, &nb_bytes)) return;
-          if (nb_node == rec.node) return;
-          if (!fetched.emplace(rec.node, nb).second) return;
-          const double nb_gb =
-              util::BytesToGb(static_cast<double>(nb_bytes));
-          // arraydb-lint: fixed-order -- sorted chunks x fixed face order.
-          node_minutes[static_cast<size_t>(rec.node)] +=
-              spec.halo_fraction * nb_gb * params_.net_min_per_gb +
-              params_.remote_fetch_minutes;
-          ++cost.remote_neighbor_fetches;
+          fetch_remote(rec, nb);
         });
       }
       break;
@@ -151,7 +157,6 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
         cumulative[i] = acc;
       }
       util::Rng rng(spec.seed);
-      std::set<std::pair<cluster::NodeId, array::Coordinates>> fetched;
       std::set<array::Coordinates> probed;
       for (int s = 0; s < spec.knn_samples; ++s) {
         const double pick = rng.NextDouble() * acc;
@@ -165,24 +170,13 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
         if (probed.insert(rec.coords).second) {
           // arraydb-lint: fixed-order -- probes draw from a seeded Rng.
           node_minutes[static_cast<size_t>(rec.node)] +=
-              gb * (params_.io_read_min_per_gb + spec.cpu_min_per_gb);
+              gb * (kParams.io_read_min_per_gb + spec.cpu_min_per_gb);
           // arraydb-lint: fixed-order -- probes draw from a seeded Rng.
           cost.scanned_gb += gb;
           ++cost.chunks_touched;
         }
         ForEachRingNeighbor(rec.coords, [&](const array::Coordinates& nb) {
-          cluster::NodeId nb_node = cluster::kInvalidNode;
-          int64_t nb_bytes = 0;
-          if (!placement.Lookup(nb, &nb_node, &nb_bytes)) return;
-          if (nb_node == rec.node) return;
-          if (!fetched.emplace(rec.node, nb).second) return;
-          const double nb_gb =
-              util::BytesToGb(static_cast<double>(nb_bytes));
-          // arraydb-lint: fixed-order -- seeded probes x fixed ring order.
-          node_minutes[static_cast<size_t>(rec.node)] +=
-              spec.halo_fraction * nb_gb * params_.net_min_per_gb +
-              params_.remote_fetch_minutes;
-          ++cost.remote_neighbor_fetches;
+          fetch_remote(rec, nb);
         });
       }
       break;
@@ -190,7 +184,7 @@ QueryCost QueryEngine::Simulate(const QuerySpec& spec,
     case QueryKind::kKMeans: {
       // Per-iteration centroid broadcast + barrier.
       cost.network_minutes += static_cast<double>(spec.iterations) *
-                              params_.sync_minutes *
+                              kParams.sync_minutes *
                               static_cast<double>(num_nodes);
       break;
     }

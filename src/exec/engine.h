@@ -27,6 +27,7 @@
 
 namespace arraydb::exec {
 
+/// The engine's pricing constants.
 struct EngineParams {
   /// Disk read rate, minutes per GB.
   double io_read_min_per_gb = 0.08;
@@ -55,10 +56,7 @@ struct QueryCost {
 
 class QueryEngine {
  public:
-  explicit QueryEngine(EngineParams params = EngineParams())
-      : params_(params) {}
-
-  const EngineParams& params() const { return params_; }
+  const EngineParams& params() const { return kParams; }
 
   /// Prices `spec` against `placement` (a quiesced Cluster or a mid-reorg
   /// DualResidencyView) for an array with `schema`. Deterministic for a
@@ -68,7 +66,7 @@ class QueryEngine {
                      const array::ArraySchema& schema) const;
 
  private:
-  EngineParams params_;
+  static constexpr EngineParams kParams{};
 };
 
 }  // namespace arraydb::exec

@@ -25,13 +25,6 @@ bool SameChunkGrid(const array::ArraySchema& a, const array::ArraySchema& b) {
       });
 }
 
-bool HasCells(const array::Array& array) {
-  return std::ranges::any_of(array.SortedChunks(),
-                             [](const array::Chunk* chunk) {
-                               return chunk->num_cells() != 0;
-                             });
-}
-
 // Lexicographic order of two positions of rank `ndims`.
 std::strong_ordering ComparePositions(const int64_t* x, const int64_t* y,
                                       size_t ndims) {
@@ -171,7 +164,7 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
   // The smaller side builds (ties: `a` builds): its duplicates count once.
   const array::Array& build = a.total_cells() <= b.total_cells() ? a : b;
   const array::Array& probe = a.total_cells() <= b.total_cells() ? b : a;
-  if (!HasCells(build) || !HasCells(probe)) return 0;
+  if (build.total_cells() == 0) return 0;  // The smaller side is empty.
   if (!SameChunkGrid(a.schema(), b.schema())) {
     // Matching positions may sit in chunks at different coordinates:
     // same semantics, set-keyed.
@@ -179,8 +172,8 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
     return internal::DimJoinCountBySet(a, b);
   }
 
-  // Pair the non-empty chunks at equal coordinates: one linear merge of
-  // the two sorted directories. A pair weighs its probe cells.
+  // Pair the chunks at equal coordinates: one linear merge of the two
+  // sorted directories. A pair weighs its probe cells.
   std::vector<std::pair<const array::Chunk*, const array::Chunk*>> pairs;
   std::vector<int64_t> weights;
   {
@@ -197,8 +190,7 @@ int64_t DimJoinCount(const array::Array& a, const array::Array& b,
           build_chunk->coords() <=> probe_chunk->coords();
       if (order <= 0) ++i;
       if (order >= 0) ++j;
-      if (order == 0 && build_chunk->num_cells() != 0 &&
-          probe_chunk->num_cells() != 0) {
+      if (order == 0) {
         pairs.emplace_back(build_chunk, probe_chunk);
         weights.push_back(static_cast<int64_t>(probe_chunk->num_cells()));
       }
@@ -249,7 +241,7 @@ int64_t AttrJoinCount(const array::Array& array, int attr,
   ARRAYDB_CHECK_GE(attr, 0);
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   TELEM_COUNTER_ADD("exec.join.attr_joins", 1);
-  const std::vector<const array::Chunk*> chunks = NonEmptyChunks(array);
+  const std::vector<const array::Chunk*>& chunks = array.SortedChunks();
   if (chunks.empty() || keys.empty()) return 0;
   // One flat table replaces the node-based set for the whole probe: the
   // key count is the (small) replicated side; parallelism comes from the

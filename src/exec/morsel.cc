@@ -10,14 +10,6 @@
 
 namespace arraydb::exec {
 
-std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array) {
-  std::vector<const array::Chunk*> chunks;
-  for (const array::Chunk* chunk : array.SortedChunks()) {
-    if (chunk->num_cells() != 0) chunks.push_back(chunk);
-  }
-  return chunks;
-}
-
 MorselScheduler::MorselScheduler(const ExecContext& context)
     : threads_(util::ResolveThreadCount(context.data_plane_threads)) {
   ARRAYDB_CHECK_GT(context.morsel_grain, 0);

@@ -1,7 +1,7 @@
 // Morsel-driven parallel operator execution (§6.2.2's per-node parallel
 // scan work, brought to the real data-plane operators).
 //
-// A MorselScheduler carves a work domain — an array's sorted chunk list, a
+// A MorselScheduler carves a work domain — an array's chunk directory, a
 // FilterBoxView's span set, a CellSpanView's global cell range — into
 // cache-sized morsels and dispatches them on util::ThreadPool. Workers pick
 // morsels off a shared atomic counter in ascending index order, so a worker
@@ -40,11 +40,6 @@ namespace arraydb::exec {
 
 /// Half-open [begin, end) range of work units (cells, chunks, positions).
 using MorselRange = std::pair<int64_t, int64_t>;
-
-/// The chunks of `array` that hold cells, in directory (lexicographic)
-/// order: the work domain of the whole-array operators. Synthetic
-/// metadata-only chunks carry no cells and are skipped.
-std::vector<const array::Chunk*> NonEmptyChunks(const array::Array& array);
 
 class MorselScheduler {
  public:

@@ -59,8 +59,8 @@ size_t GallopLowerBound(const std::vector<const array::Chunk*>& dir,
       std::partition_point(first, last, before_key) - dir.begin());
 }
 
-// The morsel pre-filter shared by the box operators: the non-empty chunks,
-// in directory order, whose bounding boxes intersect the query box.
+// The morsel pre-filter shared by the box operators: the chunks, in
+// directory order, whose bounding boxes intersect the query box.
 //
 // Broad phase: every stored cell is routed by ChunkOf, so a chunk's cells
 // lie inside its grid cell, and only chunks whose coordinates fall in the
@@ -78,15 +78,9 @@ std::vector<const array::Chunk*> BBoxSurvivors(const array::Array& array,
   ARRAYDB_CHECK_EQ(box.hi.size(), ndims);
   const std::vector<const array::Chunk*>& dir = array.SortedChunks();
   const std::vector<array::DimensionDesc>& dims = array.schema().dims();
-  if (ndims != dims.size()) {
-    // A box of the wrong rank is a caller bug once there is data to test.
-    for (const array::Chunk* chunk : dir) {
-      if (chunk->num_cells() != 0) {
-        ARRAYDB_CHECK_EQ(chunk->bbox_lo().size(), ndims);
-      }
-    }
-    return {};
-  }
+  if (dir.empty()) return {};
+  // A box of the wrong rank is a caller bug once there is data to test.
+  ARRAYDB_CHECK_EQ(ndims, dims.size());
   // Clamping the box into the stored range loses no cell; an inverted box,
   // or one outside the grid on some dimension, holds none.
   array::Coordinates clo(ndims);
@@ -110,7 +104,7 @@ std::vector<const array::Chunk*> BBoxSurvivors(const array::Array& array,
     size_t d = 0;
     while (d < ndims && c[d] >= clo[d] && c[d] <= chi[d]) ++d;
     if (d == ndims) {
-      if (dir[i]->num_cells() != 0) chunks.push_back(dir[i]);
+      chunks.push_back(dir[i]);
       ++i;
       continue;
     }
@@ -352,7 +346,7 @@ std::map<array::Coordinates, double> GroupBySum(
   ARRAYDB_CHECK_LT(attr, array.schema().num_attrs());
   for (const int64_t b : bin) ARRAYDB_CHECK_GT(b, 0);
   const size_t ndims = bin.size();
-  const std::vector<const array::Chunk*> chunks = NonEmptyChunks(array);
+  const std::vector<const array::Chunk*>& chunks = array.SortedChunks();
   using BinMap =
       std::unordered_map<array::Coordinates, double, array::CoordinatesHash>;
   // Each morsel accumulates a private bin map over its run of sorted
@@ -593,7 +587,7 @@ SortedField BuildSortedField(const array::Array& array, int attr,
   field.hi.assign(ndims, std::numeric_limits<int64_t>::min());
 
   // Gather: every chunk copies into its fixed slice of flat arrays.
-  const std::vector<const array::Chunk*> chunks = NonEmptyChunks(array);
+  const std::vector<const array::Chunk*>& chunks = array.SortedChunks();
   std::vector<int64_t> offsets{0};
   for (const array::Chunk* chunk : chunks) {
     offsets.push_back(offsets.back() +
@@ -1060,7 +1054,6 @@ util::StatusOr<array::Array> Regrid(const array::Array& array,
   // Sorted chunk order keeps floating-point accumulation deterministic.
   for (const array::Chunk* chunk_ptr : array.SortedChunks()) {
     const array::Chunk& chunk = *chunk_ptr;
-    if (chunk.num_cells() == 0) continue;
     const auto& column = chunk.attr_column(static_cast<size_t>(attr));
     const int64_t* pos = chunk.packed_coords().data();
     for (size_t i = 0; i < chunk.num_cells(); ++i, pos += ndims) {

@@ -11,6 +11,22 @@
 #include "util/logging.h"
 
 namespace arraydb::hilbert {
+
+namespace internal {
+
+/// Precomputed per-dimensionality tables: byte-spread LUT for interleaving
+/// plus the (entry-point, direction) state machine over n-bit level words.
+struct CurveTables {
+  /// Largest rank with tables (n * 2^n states of 2^n entries each).
+  static constexpr int kMaxStateDims = 6;
+
+  uint64_t spread[256] = {};   // byte b -> bits of b spread with stride n.
+  std::vector<uint8_t> w;      // [state << n | l] -> level output word.
+  std::vector<uint16_t> next;  // [state << n | l] -> next state.
+};
+
+}  // namespace internal
+
 namespace {
 
 // All helpers operate on n-bit words stored in uint64_t.
@@ -65,7 +81,6 @@ inline int Direction(uint64_t i, int n) {
 
 std::unique_ptr<internal::CurveTables> BuildCurveTables(int n) {
   auto t = std::make_unique<internal::CurveTables>();
-  t->n = n;
   // Byte-spread LUT: bit k of a byte lands at position k * n. Positions at
   // or above 64 only arise for input bits a valid coordinate can never set
   // (they would overflow the n * bits <= 64 budget), so they are dropped.
@@ -76,15 +91,14 @@ std::unique_ptr<internal::CurveTables> BuildCurveTables(int n) {
     }
     t->spread[static_cast<size_t>(b)] = s;
   }
-  if (n > internal::CurveTables::kMaxStateDims) return t;
 
   // State machine over (entry point e, direction d). One level of the
   // Hamilton recurrence maps an n-bit input word l to the output word w and
   // the next (e, d) frame; enumerating all combinations removes the
   // rotate/gray/entry/direction arithmetic from the encode loop.
   const uint64_t words = 1ULL << n;
-  t->num_states = static_cast<int>(words) * n;
-  t->w.assign(static_cast<size_t>(t->num_states) << n, 0);
+  const size_t num_states = words * static_cast<size_t>(n);
+  t->w.assign(num_states << n, 0);
   t->next.assign(t->w.size(), 0);
   for (uint64_t e = 0; e < words; ++e) {
     for (int d = 0; d < n; ++d) {
@@ -105,14 +119,14 @@ std::unique_ptr<internal::CurveTables> BuildCurveTables(int n) {
   return t;
 }
 
-}  // namespace
-
-namespace internal {
-
-const CurveTables* GetCurveTables(int num_dims) {
+// Shared, lazily built, thread-safe table cache (one entry per rank).
+const internal::CurveTables* GetCurveTables(int num_dims) {
+  using internal::CurveTables;
   ARRAYDB_CHECK_GE(num_dims, 1);
-  ARRAYDB_CHECK_LE(num_dims, 64);
-  static std::array<std::atomic<const CurveTables*>, 65> cache{};
+  ARRAYDB_CHECK_LE(num_dims, CurveTables::kMaxStateDims);
+  static std::array<std::atomic<const CurveTables*>,
+                    CurveTables::kMaxStateDims + 1>
+      cache{};
   static std::mutex build_mutex;
   auto& slot = cache[static_cast<size_t>(num_dims)];
   const CurveTables* t = slot.load(std::memory_order_acquire);
@@ -126,7 +140,7 @@ const CurveTables* GetCurveTables(int num_dims) {
   return built;
 }
 
-}  // namespace internal
+}  // namespace
 
 util::StatusOr<HilbertCodec> HilbertCodec::Create(int num_dims, int bits) {
   if (num_dims < 1) {
@@ -151,12 +165,9 @@ util::StatusOr<HilbertCodec> HilbertCodec::Create(int num_dims, int bits) {
 
 HilbertCodec::HilbertCodec(int num_dims, int bits)
     : n_(num_dims), bits_(bits) {
-  ARRAYDB_CHECK_GE(n_, 1);
-  ARRAYDB_CHECK_GE(bits_, 1);
-  ARRAYDB_CHECK_LE(n_ * bits_, 64);
   // Coordinates arrive as uint32, so at most four bytes carry bits.
   coord_bytes_ = std::min((bits_ + 7) / 8, 4);
-  tables_ = internal::GetCurveTables(n_);
+  tables_ = GetCurveTables(n_);
 }
 
 uint64_t HilbertCodec::Rank(const uint32_t* point) const {
@@ -172,27 +183,12 @@ uint64_t HilbertCodec::Rank(const uint32_t* point) const {
   }
   const uint64_t mask = MaskN(n_);
   uint64_t h = 0;
-  if (tables_->has_state_machine()) {
-    uint32_t state = 0;
-    for (int i = bits_ - 1; i >= 0; --i) {
-      const uint64_t l = (interleaved >> (i * n_)) & mask;
-      const size_t idx = (static_cast<size_t>(state) << n_) | l;
-      h = (h << n_) | tables_->w[idx];
-      state = tables_->next[idx];
-    }
-    return h;
-  }
-  // High-dimensional fallback: branchless per-level arithmetic, still fed
-  // from the interleaved word (no per-dimension bit gather).
-  uint64_t e = 0;
-  int d = 0;
+  uint32_t state = 0;
   for (int i = bits_ - 1; i >= 0; --i) {
-    uint64_t l = (interleaved >> (i * n_)) & mask;
-    l = RotRight(l ^ e, d + 1, n_);
-    const uint64_t w = GrayInverse(l) & mask;
-    e ^= RotLeft(EntryPoint(w), d + 1, n_);
-    d = (d + Direction(w, n_) + 1) % n_;
-    h = (h << n_) | w;
+    const uint64_t l = (interleaved >> (i * n_)) & mask;
+    const size_t idx = (static_cast<size_t>(state) << n_) | l;
+    h = (h << n_) | tables_->w[idx];
+    state = tables_->next[idx];
   }
   return h;
 }
@@ -201,21 +197,13 @@ uint64_t HilbertCodec::RankChecked(const array::Coordinates& coords,
                                    const array::Coordinates& extents) const {
   ARRAYDB_CHECK_EQ(coords.size(), extents.size());
   ARRAYDB_CHECK_EQ(static_cast<int>(coords.size()), n_);
-  std::array<uint32_t, 64> point;
+  std::array<uint32_t, internal::CurveTables::kMaxStateDims> point;
   for (size_t i = 0; i < coords.size(); ++i) {
     ARRAYDB_CHECK_GE(coords[i], 0);
     ARRAYDB_CHECK_LT(coords[i], extents[i]);
     point[i] = static_cast<uint32_t>(coords[i]);
   }
   return Rank(point.data());
-}
-
-uint64_t HilbertIndex(const std::vector<uint32_t>& point, int bits) {
-  const int n = static_cast<int>(point.size());
-  ARRAYDB_CHECK_GE(n, 1);
-  ARRAYDB_CHECK_GE(bits, 1);
-  ARRAYDB_CHECK_LE(n * bits, 64);
-  return HilbertCodec(n, bits).Rank(point.data());
 }
 
 uint64_t HilbertIndexReference(const std::vector<uint32_t>& point, int bits) {
@@ -280,14 +268,6 @@ int BitsForExtents(const array::Coordinates& extents) {
                          static_cast<uint64_t>(max_extent) - 1)));
 }
 
-uint64_t HilbertRank(const array::Coordinates& coords,
-                     const array::Coordinates& extents) {
-  ARRAYDB_CHECK_EQ(coords.size(), extents.size());
-  const HilbertCodec codec(static_cast<int>(extents.size()),
-                           BitsForExtents(extents));
-  return codec.RankChecked(coords, extents);
-}
-
 uint64_t HilbertRankReference(const array::Coordinates& coords,
                               const array::Coordinates& extents) {
   ARRAYDB_CHECK_EQ(coords.size(), extents.size());
@@ -299,20 +279,6 @@ uint64_t HilbertRankReference(const array::Coordinates& coords,
     point[i] = static_cast<uint32_t>(coords[i]);
   }
   return HilbertIndexReference(point, bits);
-}
-
-std::vector<uint64_t> HilbertRankBatch(
-    const std::vector<array::Coordinates>& points,
-    const array::Coordinates& extents) {
-  std::vector<uint64_t> ranks;
-  ranks.reserve(points.size());
-  if (points.empty()) return ranks;
-  const HilbertCodec codec(static_cast<int>(extents.size()),
-                           BitsForExtents(extents));
-  for (const auto& coords : points) {
-    ranks.push_back(codec.RankChecked(coords, extents));
-  }
-  return ranks;
 }
 
 }  // namespace arraydb::hilbert

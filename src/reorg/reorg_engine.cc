@@ -107,10 +107,10 @@ bool IncrementalReorgEngine::IsDead(cluster::NodeId node) const {
 }
 
 double IncrementalReorgEngine::BackoffMsBeforeRetry(int k) const {
-  const double base = std::max(0.0, options_.retry.base_backoff_ms);
-  const double mult = std::max(1.0, options_.retry.backoff_multiplier);
-  const double cap = std::max(base, options_.retry.max_backoff_ms);
-  return std::min(base * std::pow(mult, static_cast<double>(k - 1)), cap);
+  return std::min(RetryPolicy::kBaseBackoffMs *
+                      std::pow(RetryPolicy::kBackoffMultiplier,
+                               static_cast<double>(k - 1)),
+                  RetryPolicy::kMaxBackoffMs);
 }
 
 util::Status IncrementalReorgEngine::ProcessNodeDeaths() {

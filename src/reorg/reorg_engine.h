@@ -72,13 +72,14 @@ struct BudgetRequest {
 /// virtual clock so retry trajectories are machine-independent (and, by
 /// design, jitter-free: randomized jitter would break seeded replay).
 /// Backoff before retry k (1-based) is
-///   min(base_backoff_ms * backoff_multiplier^(k-1), max_backoff_ms).
+///   min(kBaseBackoffMs * kBackoffMultiplier^(k-1), kMaxBackoffMs).
 struct RetryPolicy {
+  static constexpr double kBaseBackoffMs = 100.0;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kMaxBackoffMs = 1600.0;
+
   /// Total attempts per increment (first try included). >= 1.
   int max_attempts = 4;
-  double base_backoff_ms = 100.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1600.0;
 };
 
 struct ReorgOptions {

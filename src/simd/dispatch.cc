@@ -1,8 +1,6 @@
 #include "simd/dispatch.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace arraydb::simd {
 namespace {
@@ -19,12 +17,8 @@ bool CpuSupportsAvx2() {
 }
 
 DispatchLevel Detect() {
-  if (!CompiledWithAvx2() || !CpuSupportsAvx2()) return DispatchLevel::kScalar;
-  const char* env = std::getenv("ARRAYDB_SIMD");
-  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-    return DispatchLevel::kScalar;
-  }
-  return DispatchLevel::kAvx2;
+  return CompiledWithAvx2() && CpuSupportsAvx2() ? DispatchLevel::kAvx2
+                                                 : DispatchLevel::kScalar;
 }
 
 }  // namespace
@@ -58,22 +52,13 @@ DispatchLevel ActiveLevel() {
   return DetectedLevel();
 }
 
-bool ForceDispatch(DispatchLevel level) {
-  if (level == DispatchLevel::kAvx2 &&
-      (!CompiledWithAvx2() || !CpuSupportsAvx2())) {
-    return false;
-  }
-  g_override.store(static_cast<int>(level), std::memory_order_relaxed);
-  return true;
-}
-
-void ClearDispatchOverride() {
-  g_override.store(-1, std::memory_order_relaxed);
-}
-
 ScopedDispatch::ScopedDispatch(DispatchLevel level)
     : previous_(g_override.load(std::memory_order_relaxed)),
-      ok_(ForceDispatch(level)) {}
+      ok_(level <= DetectedLevel()) {
+  if (ok_) {
+    g_override.store(static_cast<int>(level), std::memory_order_relaxed);
+  }
+}
 
 ScopedDispatch::~ScopedDispatch() {
   g_override.store(previous_, std::memory_order_relaxed);

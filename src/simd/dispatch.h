@@ -4,8 +4,8 @@
 // when the build enables it, an AVX2 implementation. The variant is chosen
 // per call from ActiveLevel():
 //
-//   1. a process-wide override installed by ForceDispatch() (tests, benches,
-//      and the ARRAYDB_SIMD=scalar environment escape hatch), else
+//   1. a process-wide override installed by a ScopedDispatch (tests and
+//      benches), else
 //   2. the best level the CPU supports among those compiled in.
 //
 // Both variants of every kernel are bit-identical by contract — including
@@ -30,25 +30,18 @@ const char* ToString(DispatchLevel level);
 bool CompiledWithAvx2();
 
 /// Best level usable on this machine: compiled in AND supported by the CPU.
-/// Honors ARRAYDB_SIMD=scalar in the environment (checked once, at the
-/// first call). Cached; cheap to call from kernel hot paths.
+/// Cached; cheap to call from kernel hot paths.
 DispatchLevel DetectedLevel();
 
-/// Level the kernels will actually use: the ForceDispatch override if one is
-/// installed, otherwise DetectedLevel().
+/// Level the kernels will actually use: the innermost ScopedDispatch's
+/// level if one is alive, otherwise DetectedLevel().
 DispatchLevel ActiveLevel();
 
-/// Installs a process-wide dispatch override. Returns false (and installs
-/// nothing) if `level` is not usable on this machine — forcing kAvx2 on a
-/// CPU without it, or in a force-scalar build, fails rather than clamps.
-bool ForceDispatch(DispatchLevel level);
-
-/// Removes the override; kernels return to DetectedLevel().
-void ClearDispatchOverride();
-
-/// RAII dispatch override for tests and benches; nestable — the destructor
-/// restores whatever override (or none) was active at construction. `ok()`
-/// reports whether the requested level was actually installed.
+/// RAII process-wide dispatch override for tests and benches; nestable —
+/// the destructor restores whatever override (or none) was active at
+/// construction. `ok()` reports whether the requested level was installed:
+/// a level this machine cannot run (kAvx2 on a CPU without it, or in a
+/// force-scalar build) installs nothing rather than clamps.
 class ScopedDispatch {
  public:
   explicit ScopedDispatch(DispatchLevel level);

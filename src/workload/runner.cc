@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/elastic_engine.h"
+#include "exec/engine.h"
 #include "reorg/overlap_window.h"
 #include "reorg/reorg_engine.h"
 #include "telemetry/trace.h"
@@ -83,8 +84,8 @@ ServingCycleMetrics RunServingCycle(
   options.policy = cfg.policy;
   serve::SessionServer server(options);
 
-  const int num_interactive = std::max(1, cfg.interactive_sessions);
-  const int num_batch = std::max(1, cfg.batch_sessions);
+  const int num_interactive = ServingConfig::kInteractiveSessions;
+  const int num_batch = ServingConfig::kBatchSessions;
   std::vector<int> interactive_sessions;
   std::vector<int> batch_sessions;
   for (int s = 0; s < num_interactive; ++s) {
@@ -119,7 +120,7 @@ ServingCycleMetrics RunServingCycle(
                          static_cast<double>(num_batch) /
                          static_cast<double>(std::max(1, cfg.workers)));
   const int total_points =
-      num_interactive * std::max(0, cfg.interactive_per_session);
+      num_interactive * ServingConfig::kInteractivePerSession;
   const auto extents = schema.ChunkGridExtents();
   for (int i = 0; i < total_points; ++i) {
     exec::QuerySpec spec;
@@ -183,7 +184,7 @@ RunResult WorkloadRunner::Run(const Workload& workload) const {
                             config_.initial_nodes, capacity,
                             workload.growth_dim()),
       config_.initial_nodes, capacity, config_.cost_params);
-  exec::QueryEngine query_engine(config_.engine_params);
+  const exec::QueryEngine query_engine;
 
   core::StaircaseConfig stair_cfg;
   stair_cfg.node_capacity_gb = capacity;

@@ -34,7 +34,6 @@
 #include "cluster/cost_model.h"
 #include "core/partitioner_factory.h"
 #include "core/provisioner.h"
-#include "exec/engine.h"
 #include "fault/fault.h"
 #include "reorg/reorg_engine.h"
 #include "serve/serve.h"
@@ -90,12 +89,13 @@ struct ReorgConfig {
 /// other way (under kPaced the serving demand enters the bandwidth
 /// arbitration, and migration intrusion dilates serving latencies).
 struct ServingConfig {
-  bool enabled = false;
   /// Concurrent sessions per tier.
-  int interactive_sessions = 4;
-  int batch_sessions = 2;
+  static constexpr int kInteractiveSessions = 4;
+  static constexpr int kBatchSessions = 2;
   /// Interactive point queries per session per cycle.
-  int interactive_per_session = 8;
+  static constexpr int kInteractivePerSession = 8;
+
+  bool enabled = false;
   /// Virtual workers and slice length (serve::ServerOptions).
   int workers = 4;
   double slice_minutes = 0.05;
@@ -142,7 +142,6 @@ struct RunnerConfig {
   ServingConfig serving;
   FaultConfig fault;
   cluster::CostParams cost_params;
-  exec::EngineParams engine_params;
   bool run_queries = true;
 };
 

@@ -1,8 +1,9 @@
-// Unit tests for Array and Chunk: sparse storage, no-overwrite semantics,
+// Unit tests for Array and Chunk: sparse storage, the chunk directory,
 // and footprint accounting.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -90,39 +91,116 @@ TEST(ArrayTest, RejectsCellWhoseChunkIndexOverflows) {
             util::StatusCode::kOutOfRange);
 }
 
-TEST(ArrayTest, SyntheticChunksEnforceNoOverwrite) {
-  Array a(SmallSchema());
-  ChunkInfo info;
-  info.coords = {0, 0};
-  info.cell_count = 100;
-  info.bytes = 800;
-  ASSERT_TRUE(a.AddSyntheticChunk(info).ok());
-  // No-overwrite storage model: re-adding the same chunk position fails.
-  const auto again = a.AddSyntheticChunk(info);
-  EXPECT_FALSE(again.ok());
-  EXPECT_EQ(again.code(), util::StatusCode::kAlreadyExists);
-  EXPECT_EQ(a.total_bytes(), 800);
-}
-
-TEST(ArrayTest, SyntheticChunkOutOfGridRejected) {
-  Array a(SmallSchema());
-  ChunkInfo info;
-  info.coords = {7, 0};
-  info.bytes = 1;
-  EXPECT_FALSE(a.AddSyntheticChunk(info).ok());
-}
-
 TEST(ArrayTest, ChunkInfosAreSortedAndComplete) {
   Array a(SmallSchema());
-  ASSERT_TRUE(a.AddSyntheticChunk({{1, 1}, 5, 50}).ok());
-  ASSERT_TRUE(a.AddSyntheticChunk({{0, 0}, 2, 20}).ok());
-  ASSERT_TRUE(a.AddSyntheticChunk({{1, 0}, 1, 10}).ok());
+  // Chunks created out of coordinate order: (1,1), (0,0), (1,0).
+  ASSERT_TRUE(a.InsertCell({3, 3}, {1.0, 1.0}).ok());
+  ASSERT_TRUE(a.InsertCell({4, 4}, {2.0, 2.0}).ok());
+  ASSERT_TRUE(a.InsertCell({1, 2}, {3.0, 3.0}).ok());
+  ASSERT_TRUE(a.InsertCell({3, 1}, {4.0, 4.0}).ok());
   const auto infos = a.ChunkInfos();
   ASSERT_EQ(infos.size(), 3u);
   EXPECT_EQ(infos[0].coords, (Coordinates{0, 0}));
   EXPECT_EQ(infos[1].coords, (Coordinates{1, 0}));
   EXPECT_EQ(infos[2].coords, (Coordinates{1, 1}));
-  EXPECT_EQ(infos[2].bytes, 50);
+  EXPECT_EQ(infos[2].cell_count, 2);
+  EXPECT_EQ(infos[2].bytes, 2 * a.schema().BytesPerCell());
+}
+
+// Every chunk in the directory holds at least one cell, counts its cells
+// once, and has a bounding box over exactly its cells.
+void ExpectEveryChunkHoldsCells(const Array& a) {
+  int64_t cells = 0;
+  for (const Chunk* chunk : a.SortedChunks()) {
+    SCOPED_TRACE(CoordinatesToString(chunk->coords()));
+    ASSERT_GE(chunk->num_cells(), 1u);
+    EXPECT_EQ(static_cast<int64_t>(chunk->num_cells()), chunk->cell_count());
+    EXPECT_EQ(chunk->bytes(),
+              chunk->cell_count() * a.schema().BytesPerCell());
+    const size_t ndims = chunk->num_dims();
+    ASSERT_EQ(chunk->bbox_lo().size(), ndims);
+    ASSERT_EQ(chunk->bbox_hi().size(), ndims);
+    Coordinates lo(chunk->cell_pos(0), chunk->cell_pos(0) + ndims);
+    Coordinates hi = lo;
+    for (size_t i = 0; i < chunk->num_cells(); ++i) {
+      const int64_t* pos = chunk->cell_pos(i);
+      EXPECT_EQ(a.schema().ChunkOf(Coordinates(pos, pos + ndims)),
+                chunk->coords());
+      for (size_t d = 0; d < ndims; ++d) {
+        lo[d] = std::min(lo[d], pos[d]);
+        hi[d] = std::max(hi[d], pos[d]);
+      }
+    }
+    EXPECT_EQ(chunk->bbox_lo(), lo);
+    EXPECT_EQ(chunk->bbox_hi(), hi);
+    cells += chunk->cell_count();
+  }
+  EXPECT_EQ(cells, a.total_cells());
+}
+
+// The operators read the directory without filtering it, which is sound
+// only if no insert path creates a chunk without a cell: a rejected insert
+// must leave the directory exactly as it was.
+TEST(ArrayTest, RejectedInsertsLeaveTheDirectoryUnchanged) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Unbounded time from -1 at interval 1 (INT64_MAX overflows its chunk
+  // index) by a bounded x.
+  Array a(ArraySchema("I",
+                      {DimensionDesc{"t", -1, 0, 1, true},
+                       DimensionDesc{"x", 0, 9, 3, false}},
+                      {AttributeDesc{"u", AttrType::kDouble},
+                       AttributeDesc{"v", AttrType::kDouble}}));
+  struct Rejected {
+    const char* what;
+    Coordinates pos;
+    std::vector<double> values;
+    util::StatusCode code;
+  };
+  const std::vector<Rejected> rejected = {
+      {"rank too low", {3}, {1.0, 2.0}, util::StatusCode::kInvalidArgument},
+      {"rank too high", {3, 4, 5}, {1.0, 2.0},
+       util::StatusCode::kInvalidArgument},
+      {"too few attributes", {3, 4}, {1.0},
+       util::StatusCode::kInvalidArgument},
+      {"too many attributes", {3, 4}, {1.0, 2.0, 3.0},
+       util::StatusCode::kInvalidArgument},
+      {"below lo", {-2, 4}, {1.0, 2.0}, util::StatusCode::kOutOfRange},
+      {"x below lo", {3, -1}, {1.0, 2.0}, util::StatusCode::kOutOfRange},
+      {"x above hi", {3, 10}, {1.0, 2.0}, util::StatusCode::kOutOfRange},
+      {"chunk index overflow", {kMax, 4}, {1.0, 2.0},
+       util::StatusCode::kOutOfRange},
+  };
+  util::Rng rng(28);
+  for (int step = 0; step < 600; ++step) {
+    if (rng.NextBounded(3) != 0) {
+      const Coordinates pos = {
+          -1 + static_cast<int64_t>(rng.NextBounded(40)),
+          static_cast<int64_t>(rng.NextBounded(10))};
+      ASSERT_TRUE(a.InsertCell(pos, {static_cast<double>(step), 0.5}).ok());
+      continue;
+    }
+    const Rejected& r = rejected[rng.NextBounded(rejected.size())];
+    SCOPED_TRACE(r.what);
+    const std::vector<const Chunk*> dir_before = a.SortedChunks();
+    const int64_t chunks_before = a.num_chunks();
+    const int64_t cells_before = a.total_cells();
+    const int64_t bytes_before = a.total_bytes();
+    EXPECT_EQ(a.InsertCell(r.pos, r.values).code(), r.code);
+    EXPECT_EQ(a.num_chunks(), chunks_before);
+    EXPECT_EQ(a.SortedChunks(), dir_before);
+    EXPECT_EQ(a.total_cells(), cells_before);
+    EXPECT_EQ(a.total_bytes(), bytes_before);
+  }
+  // Each rejection also leaves an empty array empty.
+  Array empty(a.schema());
+  for (const Rejected& r : rejected) {
+    EXPECT_EQ(empty.InsertCell(r.pos, r.values).code(), r.code) << r.what;
+  }
+  EXPECT_EQ(empty.num_chunks(), 0);
+  EXPECT_TRUE(empty.SortedChunks().empty());
+
+  ASSERT_GT(a.num_chunks(), 1);
+  ExpectEveryChunkHoldsCells(a);
 }
 
 TEST(ArrayTest, AllCellsSeesEveryInsert) {
@@ -157,10 +235,10 @@ Array MakeShuffledArray(uint64_t seed) {
                              static_cast<int64_t>(rng.NextBounded(100))};
     EXPECT_TRUE(a.InsertCell(pos, {static_cast<double>(i)}).ok());
   }
+  // Then one cell in every fifth chunk of the top chunk row, after the
+  // rest, so new chunks land in the middle of the directory.
   for (int64_t x = 0; x < 34; x += 5) {
-    if (a.FindChunk({x, 14}) == nullptr) {
-      EXPECT_TRUE(a.AddSyntheticChunk({{x, 14}, 3, 24}).ok());
-    }
+    EXPECT_TRUE(a.InsertCell({3 * x, 98}, {static_cast<double>(x)}).ok());
   }
   return a;
 }
@@ -168,15 +246,18 @@ Array MakeShuffledArray(uint64_t seed) {
 TEST(ArrayTest, SortedChunksStayInOrderUnderAnyInsertOrder) {
   Array a = MakeShuffledArray(41);
   ExpectDirectoryConsistent(a);
+  ExpectEveryChunkHoldsCells(a);
   // The returned reference follows later writes, in front and at the back.
   const std::vector<const Chunk*>& dir = a.SortedChunks();
   const size_t before = dir.size();
-  ASSERT_TRUE(a.AddSyntheticChunk({{33, 14}, 1, 8}).ok());
+  ASSERT_EQ(a.FindChunk({33, 14}), nullptr);
+  ASSERT_TRUE(a.InsertCell({99, 98}, {1.0}).ok());
   ASSERT_TRUE(a.InsertCell({0, 0}, {1.0}).ok());
   ASSERT_TRUE(a.InsertCell({99, 99}, {1.0}).ok());
   EXPECT_GE(dir.size(), before + 1);
   EXPECT_EQ(dir.back()->coords(), (Coordinates{33, 14}));
   ExpectDirectoryConsistent(a);
+  ExpectEveryChunkHoldsCells(a);
 }
 
 TEST(ArrayTest, CopiesOwnTheirChunkDirectory) {
@@ -216,14 +297,6 @@ TEST(ArrayTest, CopiesOwnTheirChunkDirectory) {
   ASSERT_TRUE(copied.InsertCell({50, 50}, {0.0}).ok());
   EXPECT_EQ(exec::FilterBoxCount(copied, box), want_count + 1);
   EXPECT_EQ(exec::FilterBoxCount(assigned, box), want_count);
-}
-
-TEST(ChunkTest, SyntheticAndMaterializedModesAreExclusive) {
-  Chunk c({0, 0});
-  c.AppendCell({1, 1}, {1.0}, 8);
-  EXPECT_EQ(c.cell_count(), 1);
-  EXPECT_EQ(c.bytes(), 8);
-  EXPECT_DEATH(c.SetSyntheticSize(10, 80), "CHECK");
 }
 
 TEST(ChunkTest, InfoToStringMentionsCoordinates) {

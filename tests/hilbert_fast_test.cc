@@ -1,7 +1,6 @@
-// Property tests for the Hilbert fast paths: the table-driven codec and
-// the batched ranking API must agree exactly with the reference per-bit
-// implementation on every input — the fast paths change performance, not
-// the curve.
+// Property tests for the Hilbert codec: the table-driven rank path must
+// agree exactly with the reference per-bit implementation on every input —
+// the tables change performance, not the curve.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +13,20 @@
 
 namespace arraydb::hilbert {
 namespace {
+
+// Index of `point` through a codec sized to its rank and `bits`.
+uint64_t CodecIndex(const std::vector<uint32_t>& point, int bits) {
+  return HilbertCodec::Create(static_cast<int>(point.size()), bits)
+      ->Rank(point.data());
+}
+
+// Rank of `coords` through a codec sized to the grid `extents`.
+uint64_t CodecRank(const array::Coordinates& coords,
+                   const array::Coordinates& extents) {
+  return HilbertCodec::Create(static_cast<int>(extents.size()),
+                              BitsForExtents(extents))
+      ->RankChecked(coords, extents);
+}
 
 TEST(HilbertFastTest, CodecMatchesReferenceExhaustivelySmall) {
   // Exhaustive agreement on small cubes across dimensionalities covered by
@@ -30,8 +43,7 @@ TEST(HilbertFastTest, CodecMatchesReferenceExhaustivelySmall) {
         point[static_cast<size_t>(d)] = static_cast<uint32_t>(rest % side);
         rest /= side;
       }
-      ASSERT_EQ(HilbertIndex(point, bits),
-                HilbertIndexReference(point, bits))
+      ASSERT_EQ(CodecIndex(point, bits), HilbertIndexReference(point, bits))
           << "n=" << n << " code=" << code;
     }
   }
@@ -50,33 +62,14 @@ TEST(HilbertFastTest, CodecMatchesReferenceRandomly) {
     for (auto& c : point) {
       c = static_cast<uint32_t>(rng.NextBounded(1ULL << bits));
     }
-    ASSERT_EQ(HilbertIndex(point, bits), HilbertIndexReference(point, bits))
+    ASSERT_EQ(CodecIndex(point, bits), HilbertIndexReference(point, bits))
         << "n=" << n << " bits=" << bits;
   }
 }
 
-TEST(HilbertFastTest, HighDimensionalFallbackMatchesReference) {
-  // n > CurveTables::kMaxStateDims exercises the interleaved fallback.
-  util::Rng rng(7);
-  for (const int n : {7, 8, 10}) {
-    const int bits = 64 / n >= 4 ? 4 : 64 / n;
-    std::vector<uint32_t> point(static_cast<size_t>(n));
-    for (int trial = 0; trial < 200; ++trial) {
-      for (auto& c : point) {
-        c = static_cast<uint32_t>(rng.NextBounded(1ULL << bits));
-      }
-      ASSERT_EQ(HilbertIndex(point, bits),
-                HilbertIndexReference(point, bits))
-          << "n=" << n;
-    }
-  }
-}
-
-// Edge-case documentation of the fast-path limit: the precomputed state
-// tables stop at CurveTables::kMaxStateDims = 6, so the checked factory
-// declines higher-rank schemas with InvalidArgument (instead of silently
-// dropping to the slower non-table path the raw constructor uses, or
-// CHECK-aborting on a geometry the tables could never index).
+// The precomputed state tables stop at rank 6, so the factory declines
+// higher-rank schemas with InvalidArgument (instead of CHECK-aborting on a
+// geometry the tables could never index).
 TEST(HilbertFastTest, CreateRejectsSchemasAboveTheStateTableLimit) {
   // The boundary itself is fine...
   const auto at_limit = HilbertCodec::Create(6, 10);
@@ -93,11 +86,6 @@ TEST(HilbertFastTest, CreateRejectsSchemasAboveTheStateTableLimit) {
   EXPECT_FALSE(HilbertCodec::Create(3, 0).ok());
   EXPECT_FALSE(HilbertCodec::Create(2, 33).ok());
   EXPECT_FALSE(HilbertCodec::Create(64, 2).ok());
-  // The raw constructor's high-dimensional fallback stays available (and
-  // reference-exact; see HighDimensionalFallbackMatchesReference).
-  const HilbertCodec fallback(7, 8);
-  const std::vector<uint32_t> p7 = {1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(fallback.Rank(p7.data()), HilbertIndexReference(p7, 8));
 }
 
 TEST(HilbertFastTest, InverseRoundTripsThroughFastForward) {
@@ -109,7 +97,7 @@ TEST(HilbertFastTest, InverseRoundTripsThroughFastForward) {
     const uint64_t space = 1ULL << (n * bits);
     const uint64_t index = rng.NextBounded(space);
     const auto point = HilbertPoint(index, n, bits);
-    ASSERT_EQ(HilbertIndex(point, bits), index);
+    ASSERT_EQ(CodecIndex(point, bits), index);
   }
 }
 
@@ -127,14 +115,15 @@ TEST(HilbertFastTest, RankMatchesReferenceOnRandomRectangles) {
         coords[d] = static_cast<int64_t>(
             rng.NextBounded(static_cast<uint64_t>(extents[d])));
       }
-      ASSERT_EQ(HilbertRank(coords, extents),
+      ASSERT_EQ(CodecRank(coords, extents),
                 HilbertRankReference(coords, extents));
     }
   }
 }
 
-// The headline property: HilbertRankBatch is exactly the scalar HilbertRank
-// applied pointwise, on random rectangular grids of random dimensionality.
+// One codec ranks a whole batch exactly as a fresh codec per point does —
+// the shape HilbertPartitioner::RankOf relies on — on random rectangular
+// grids of random dimensionality.
 TEST(HilbertFastTest, BatchEquivalentToScalarOnRandomRectangularGrids) {
   util::Rng rng(4242);
   for (int trial = 0; trial < 30; ++trial) {
@@ -143,41 +132,34 @@ TEST(HilbertFastTest, BatchEquivalentToScalarOnRandomRectangularGrids) {
     for (auto& e : extents) {
       e = 1 + static_cast<int64_t>(rng.NextBounded(30));
     }
-    std::vector<array::Coordinates> points;
+    const auto codec = HilbertCodec::Create(n, BitsForExtents(extents));
+    ASSERT_TRUE(codec.ok());
     const size_t count = 1 + rng.NextBounded(512);
-    points.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       array::Coordinates coords(static_cast<size_t>(n));
       for (size_t d = 0; d < coords.size(); ++d) {
         coords[d] = static_cast<int64_t>(
             rng.NextBounded(static_cast<uint64_t>(extents[d])));
       }
-      points.push_back(std::move(coords));
-    }
-    const auto batch = HilbertRankBatch(points, extents);
-    ASSERT_EQ(batch.size(), points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(batch[i], HilbertRank(points[i], extents))
+      ASSERT_EQ(codec->RankChecked(coords, extents),
+                CodecRank(coords, extents))
           << "trial=" << trial << " i=" << i;
     }
   }
 }
 
-TEST(HilbertFastTest, BatchOfEmptyInputIsEmpty) {
-  EXPECT_TRUE(HilbertRankBatch({}, {4, 4}).empty());
-}
-
-TEST(HilbertFastTest, CodecRankCheckedAgreesWithFreeFunction) {
+TEST(HilbertFastTest, CodecRankCheckedAgreesWithReference) {
   const array::Coordinates extents = {36, 29, 23};
-  const HilbertCodec codec(3, BitsForExtents(extents));
+  const auto codec = HilbertCodec::Create(3, BitsForExtents(extents));
+  ASSERT_TRUE(codec.ok());
   util::Rng rng(5);
   for (int trial = 0; trial < 500; ++trial) {
     const array::Coordinates coords = {
         static_cast<int64_t>(rng.NextBounded(36)),
         static_cast<int64_t>(rng.NextBounded(29)),
         static_cast<int64_t>(rng.NextBounded(23))};
-    ASSERT_EQ(codec.RankChecked(coords, extents),
-              HilbertRank(coords, extents));
+    ASSERT_EQ(codec->RankChecked(coords, extents),
+              HilbertRankReference(coords, extents));
   }
 }
 

@@ -132,10 +132,9 @@ int64_t TopOf(const DimensionDesc& dim) {
 }
 
 // `cells` random cells inserted in random order (so the directory takes
-// middle inserts, not only appends), plus up to `synthetic` metadata-only
-// chunks on grid slots that hold no cells.
+// middle inserts, not only appends).
 Array MakeRandomArray(const std::vector<DimensionDesc>& dims, int cells,
-                      int synthetic, uint64_t seed) {
+                      uint64_t seed) {
   util::Rng rng(seed);
   Array a(ArraySchema("r", dims, {AttributeDesc{"v", AttrType::kDouble}}));
   const auto pick = [&rng](int64_t lo, int64_t hi) {
@@ -148,17 +147,6 @@ Array MakeRandomArray(const std::vector<DimensionDesc>& dims, int cells,
       pos[d] = pick(dims[d].lo, TopOf(dims[d]));
     }
     EXPECT_TRUE(a.InsertCell(pos, {static_cast<double>(i)}).ok());
-  }
-  for (int i = 0; i < synthetic; ++i) {
-    for (size_t d = 0; d < dims.size(); ++d) {
-      pos[d] = pick(0, dims[d].ChunkIndexOf(TopOf(dims[d])));
-    }
-    if (a.FindChunk(pos) != nullptr) continue;
-    array::ChunkInfo info;
-    info.coords = pos;
-    info.cell_count = 7;
-    info.bytes = 56;
-    EXPECT_TRUE(a.AddSyntheticChunk(info).ok());
   }
   return a;
 }
@@ -203,8 +191,8 @@ TEST(BroadPhaseTest, SkipScanMatchesBruteForce) {
   uint64_t seed = 17;
   for (const auto& dims : schemas) {
     const size_t ndims = dims.size();
-    const Array a = MakeRandomArray(dims, /*cells=*/ndims == 1 ? 150 : 600,
-                                    /*synthetic=*/40, ++seed);
+    const Array a =
+        MakeRandomArray(dims, /*cells=*/ndims == 1 ? 150 : 600, ++seed);
     SCOPED_TRACE("rank " + std::to_string(ndims));
     Coordinates lo(ndims);
     Coordinates hi(ndims);
@@ -262,20 +250,15 @@ TEST(BroadPhaseTest, SkipScanMatchesBruteForce) {
   }
 }
 
-TEST(BroadPhaseTest, EmptyAndSyntheticOnlyArraysSelectNothing) {
+TEST(BroadPhaseTest, EmptyArraySelectsNothing) {
   const std::vector<DimensionDesc> dims = {
       DimensionDesc{"x", 0, 99, 10, false},
       DimensionDesc{"y", 0, 99, 10, false}};
-  const Array empty = MakeRandomArray(dims, /*cells=*/0, /*synthetic=*/0, 3);
-  const Array synthetic =
-      MakeRandomArray(dims, /*cells=*/0, /*synthetic=*/30, 3);
-  ASSERT_GT(synthetic.num_chunks(), 0);
-  for (const Array* a : {&empty, &synthetic}) {
-    EXPECT_EQ(FilterBoxCount(*a, CellBox{{0, 0}, {99, 99}}), 0);
-    EXPECT_TRUE(FilterBoxSpans(*a, CellBox{{0, 0}, {99, 99}}).empty());
-    // A box of the wrong rank is only checked against stored cells.
-    EXPECT_EQ(FilterBoxCount(*a, CellBox{{0}, {99}}), 0);
-  }
+  const Array empty = MakeRandomArray(dims, /*cells=*/0, 3);
+  EXPECT_EQ(FilterBoxCount(empty, CellBox{{0, 0}, {99, 99}}), 0);
+  EXPECT_TRUE(FilterBoxSpans(empty, CellBox{{0, 0}, {99, 99}}).empty());
+  // A box of the wrong rank is only checked against stored cells.
+  EXPECT_EQ(FilterBoxCount(empty, CellBox{{0}, {99}}), 0);
 }
 
 TEST(BroadPhaseDeathTest, WrongRankBoxAbortsWhenCellsAreStored) {
@@ -644,34 +627,35 @@ TEST(KnnTest, MatchesBruteForceReference) {
     const std::string tag = " seed " + std::to_string(seed);
     cases.push_back({"rank 1" + tag,
                      MakeRandomArray({DimensionDesc{"x", -50, 400, 7, false}},
-                                     120, 0, seed),
+                                     120, seed),
                      3});
     // A dense 3-D band: most probes stop at the first box.
     cases.push_back({"rank 3" + tag,
                      MakeRandomArray({DimensionDesc{"t", 0, 3, 1, false},
                                       DimensionDesc{"x", 0, 23, 4, false},
                                       DimensionDesc{"y", 0, 15, 4, false}},
-                                     900, 0, seed),
+                                     900, seed),
                      4});
-    // A sparse grid whose empty synthetic chunks the search must skip.
+    // A sparse grid: 60 cells over 1024 chunk slots, so most boxes the
+    // search grows hold no chunk.
     cases.push_back({"sparse rank 2" + tag,
                      MakeRandomArray({DimensionDesc{"x", 0, 255, 8, false},
                                       DimensionDesc{"y", 0, 255, 8, false}},
-                                     60, 300, seed),
+                                     60, seed),
                      5});
     cases.push_back({"rank 4" + tag,
                      MakeRandomArray({DimensionDesc{"t", 0, 0, 3, true},
                                       DimensionDesc{"x", -8, 30, 4, false},
                                       DimensionDesc{"y", 0, 19, 5, false},
                                       DimensionDesc{"z", 10, 25, 2, false}},
-                                     400, 40, seed),
+                                     400, seed),
                      1});
   }
   {
     // Every cell twice: the probe's duplicate is a neighbour at distance 0.
     const Array once = MakeRandomArray({DimensionDesc{"x", 0, 63, 4, false},
                                         DimensionDesc{"y", 0, 63, 4, false}},
-                                       80, 0, 9);
+                                       80, 9);
     Array twice(once.schema());
     for (int copy = 0; copy < 2; ++copy) {
       for (const array::Cell& cell : once.AllCells()) {

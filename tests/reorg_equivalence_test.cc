@@ -12,6 +12,7 @@
 
 #include "core/elastic_engine.h"
 #include "core/partitioner_factory.h"
+#include "exec/engine.h"
 #include "reorg/reorg_engine.h"
 #include "workload/ais.h"
 #include "workload/modis.h"

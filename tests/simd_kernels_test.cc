@@ -38,8 +38,8 @@ TEST(DispatchTest, ClearRestoresDetectedLevel) {
 }
 
 TEST(DispatchTest, Avx2ForcibleExactlyWhenUsable) {
-  const bool forced = ForceDispatch(DispatchLevel::kAvx2);
-  ClearDispatchOverride();
+  const bool forced = ScopedDispatch(DispatchLevel::kAvx2).ok();
+  EXPECT_EQ(ActiveLevel(), DetectedLevel());
   if (!CompiledWithAvx2()) {
     EXPECT_FALSE(forced);  // Force-scalar / non-x86 build: must refuse.
   }
